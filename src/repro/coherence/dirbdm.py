@@ -180,6 +180,15 @@ class DirBDM:
                 return True
         return False
 
+    def any_read_disabled(self) -> bool:
+        """True while any commit's read-disable window is open.
+
+        A side-effect-free guard: unlike :meth:`is_read_disabled` it
+        tests no address and bumps no counter, so a caller may use it to
+        decide whether a read can skip the membership test entirely.
+        """
+        return bool(self._read_disabled)
+
     def reconcile_recovery(self, live_commit_ids: Set[int]) -> int:
         """Drop read-disables owned by commits that died with an arbiter.
 

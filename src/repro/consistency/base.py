@@ -55,40 +55,40 @@ class BaselineDriver(ProcessorDriver):
             return True
         if kind is OpKind.LOAD:
             assert isinstance(op, Load)
-            return self._execute_load(op)
+            return self._handle_load(op)
         if kind is OpKind.STORE:
             assert isinstance(op, Store)
-            return self._execute_store(op)
+            return self._handle_store(op)
         if kind is OpKind.ACQUIRE:
             assert isinstance(op, LockAcquire)
-            return self._execute_acquire(op)
+            return self._handle_acquire(op)
         if kind is OpKind.RELEASE:
             assert isinstance(op, LockRelease)
-            return self._execute_release(op)
+            return self._handle_release(op)
         if kind is OpKind.BARRIER:
             assert isinstance(op, Barrier)
-            return self._execute_barrier(op)
+            return self._handle_barrier(op)
         if kind is OpKind.FENCE:
             assert isinstance(op, Fence)
-            return self._execute_fence(op)
+            return self._handle_fence(op)
         if kind is OpKind.SPIN_UNTIL:
             assert isinstance(op, SpinUntil)
-            return self._execute_spin(op)
+            return self._handle_spin(op)
         if kind is OpKind.IO:
             assert isinstance(op, Io)
-            return self._execute_io(op)
+            return self._handle_io(op)
         raise ProgramError(f"unknown op kind {kind}")
 
     # ------------------------------------------------------------------
     # Hooks each model implements
     # ------------------------------------------------------------------
-    def _execute_load(self, op: Load) -> bool:
+    def _handle_load(self, op: Load) -> bool:
         raise NotImplementedError
 
-    def _execute_store(self, op: Store) -> bool:
+    def _handle_store(self, op: Store) -> bool:
         raise NotImplementedError
 
-    def _execute_fence(self, op: Fence) -> bool:
+    def _handle_fence(self, op: Fence) -> bool:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -99,7 +99,7 @@ class BaselineDriver(ProcessorDriver):
         # SC and SC++ are already in order; RC overrides to drain its
         # store buffer.
 
-    def _execute_io(self, op: Io) -> bool:
+    def _handle_io(self, op: Io) -> bool:
         """Uncached I/O: ordered with everything, never overlapped."""
         self._before_sync_visibility()  # RC drains its store buffer
         value = resolve_operand(op.value, self.thread.registers)
@@ -108,7 +108,7 @@ class BaselineDriver(ProcessorDriver):
         self.stats.bump(f"proc{self.proc}.io_ops")
         return True
 
-    def _execute_acquire(self, op: LockAcquire) -> bool:
+    def _handle_acquire(self, op: LockAcquire) -> bool:
         """Atomic test-and-set; retries via an address watch when held."""
         line = self.address_map.line_of(op.addr)
         held = self.memory.read(op.addr)
@@ -135,7 +135,7 @@ class BaselineDriver(ProcessorDriver):
         # the releaser) before re-executing the acquire.
         self.wake_retry(self.sim.now)
 
-    def _execute_release(self, op: LockRelease) -> bool:
+    def _handle_release(self, op: LockRelease) -> bool:
         self._before_sync_visibility()
         line = self.address_map.line_of(op.addr)
         outcome = self.coherence.write(self.proc, line, self.now)
@@ -146,7 +146,7 @@ class BaselineDriver(ProcessorDriver):
         self.sync.notify_write(op.addr, 0)
         return True
 
-    def _execute_barrier(self, op: Barrier) -> bool:
+    def _handle_barrier(self, op: Barrier) -> bool:
         self._before_sync_visibility()
         self.stats.bump(f"proc{self.proc}.barrier_arrivals")
         self.sync.arrive_barrier(
@@ -157,7 +157,7 @@ class BaselineDriver(ProcessorDriver):
     def _barrier_released(self) -> None:
         self.wake_advance(self.sim.now)
 
-    def _execute_spin(self, op: SpinUntil) -> bool:
+    def _handle_spin(self, op: SpinUntil) -> bool:
         line = self.address_map.line_of(op.addr)
         value = self.memory.read(op.addr)
         if value == op.value:

@@ -59,7 +59,7 @@ class RCDriver(BaselineDriver):
     # ------------------------------------------------------------------
     # Loads: forward from the buffer, else read committed memory
     # ------------------------------------------------------------------
-    def _execute_load(self, op: Load) -> bool:
+    def _handle_load(self, op: Load) -> bool:
         line = self.address_map.line_of(op.addr)
         forwarded = self._forward(op.addr)
         if forwarded is not None:
@@ -87,7 +87,7 @@ class RCDriver(BaselineDriver):
     # ------------------------------------------------------------------
     # Stores: retire into the buffer; visibility at drain
     # ------------------------------------------------------------------
-    def _execute_store(self, op: Store) -> bool:
+    def _handle_store(self, op: Store) -> bool:
         if len(self._buffer) >= self._capacity:
             # Buffer full: stall until an entry drains.
             earliest = min(e.drain_time for e in self._buffer)
@@ -161,7 +161,7 @@ class RCDriver(BaselineDriver):
             entry = self._buffer.popleft()
             self._apply(entry, min(entry.drain_time, self.now))
 
-    def _execute_fence(self, op: Fence) -> bool:
+    def _handle_fence(self, op: Fence) -> bool:
         self._drain_all()
         self.stats.bump(f"proc{self.proc}.fences")
         return True

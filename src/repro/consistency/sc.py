@@ -36,7 +36,7 @@ class SCDriver(BaselineDriver):
         self._invalidated_prefetches: Set[int] = set()
 
     # ------------------------------------------------------------------
-    def _execute_load(self, op: Load) -> bool:
+    def _handle_load(self, op: Load) -> bool:
         line = self.address_map.line_of(op.addr)
         outcome = self.coherence.read(self.proc, line, self.now)
         latency = self._effective_latency(line, outcome.latency)
@@ -51,7 +51,7 @@ class SCDriver(BaselineDriver):
         self.history.record(self.now, self.proc, False, op.addr, value, self.thread.pc)
         return True
 
-    def _execute_store(self, op: Store) -> bool:
+    def _handle_store(self, op: Store) -> bool:
         line = self.address_map.line_of(op.addr)
         outcome = self.coherence.write(self.proc, line, self.now)
         latency = self._effective_latency(line, outcome.latency)
@@ -78,7 +78,7 @@ class SCDriver(BaselineDriver):
         self.sync.notify_write(op.addr, value)
         return True
 
-    def _execute_fence(self, op: Fence) -> bool:
+    def _handle_fence(self, op: Fence) -> bool:
         # SC already orders everything; a fence costs nothing extra.
         return True
 

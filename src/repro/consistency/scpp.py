@@ -76,7 +76,7 @@ class SCPPDriver(BaselineDriver):
             self._shiq.append((line, self._last_store_completion, 1))
 
     # ------------------------------------------------------------------
-    def _execute_load(self, op: Load) -> bool:
+    def _handle_load(self, op: Load) -> bool:
         self._shiq_full_stall()
         line = self.address_map.line_of(op.addr)
         outcome = self.coherence.read(self.proc, line, self.now)
@@ -87,7 +87,7 @@ class SCPPDriver(BaselineDriver):
         self.history.record(self.now, self.proc, False, op.addr, value, self.thread.pc)
         return True
 
-    def _execute_store(self, op: Store) -> bool:
+    def _handle_store(self, op: Store) -> bool:
         self._shiq_full_stall()
         line = self.address_map.line_of(op.addr)
         outcome = self.coherence.write(self.proc, line, self.now)
@@ -104,7 +104,7 @@ class SCPPDriver(BaselineDriver):
         self.sync.notify_write(op.addr, value)
         return True
 
-    def _execute_fence(self, op: Fence) -> bool:
+    def _handle_fence(self, op: Fence) -> bool:
         # SC++ speculates past fences exactly like it does everything else.
         return True
 

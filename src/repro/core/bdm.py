@@ -136,7 +136,7 @@ class BDM:
             if not chunk.is_active:
                 continue
             w_sig = chunk.w_sig
-            bits = getattr(w_sig, "_bits", None)
+            bits = getattr(w_sig, "bits", None)
             if bits is None:
                 # Exact (set-backed) signatures: no mask fast path.
                 if w_sig.member(line_addr) or chunk.wpriv_sig.member(line_addr):
@@ -144,9 +144,9 @@ class BDM:
                 continue
             mask = self._pin_masks.get(line_addr)
             if mask is None:
-                mask = w_sig._hash(line_addr)[0]
+                mask = w_sig.mask_of(line_addr)
                 self._pin_masks[line_addr] = mask
-            if (bits & mask) == mask or (chunk.wpriv_sig._bits & mask) == mask:
+            if (bits & mask) == mask or (chunk.wpriv_sig.bits & mask) == mask:
                 return True
         return False
 

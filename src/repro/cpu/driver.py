@@ -78,10 +78,10 @@ class ProcessorDriver(ABC):
     def _run_until(self, batch_end: float) -> None:
         """Execute ops until the cursor passes ``batch_end``, blocks, or ends.
 
-        This is the scalar reference interpreter: one dispatch through
-        :meth:`execute_op` per micro-op.  Models may override it with a
-        batched implementation, provided the result is bit-identical
-        (same stats, same traces, same blocking points).
+        One dispatch through :meth:`execute_op` per micro-op: the loop the
+        SC, RC and SC++ baselines run on.  BulkSC overrides it with its
+        op-stream loop (:meth:`repro.core.driver.BulkSCDriver._run_until`),
+        which calls :meth:`execute_op` only for sync ops.
         """
         while self.state is DriverState.RUNNING:
             op = self.thread.current_op()

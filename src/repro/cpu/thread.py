@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.cpu.isa import Op
+from repro.cpu.opstream import OpStream, lower
 from repro.errors import ProgramError
 
 
@@ -16,6 +17,7 @@ class ThreadProgram:
         self.name = name
         self._total_instructions = sum(op.instruction_count for op in self._ops)
         self._memory_ops = sum(1 for op in self._ops if op.is_memory)
+        self._op_streams: Dict[int, OpStream] = {}
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -34,6 +36,17 @@ class ThreadProgram:
     @property
     def memory_op_count(self) -> int:
         return self._memory_ops
+
+    def op_stream(self, line_shift: int) -> OpStream:
+        """This program lowered to a flat op stream (``repro.cpu.opstream``).
+
+        Lowering is pure per ``(program, line_shift)`` and the program is
+        immutable, so each line geometry compiles once per program.
+        """
+        stream = self._op_streams.get(line_shift)
+        if stream is None:
+            stream = self._op_streams[line_shift] = lower(self, line_shift)
+        return stream
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -259,12 +259,6 @@ class BulkSCConfig:
     # Strict protocol checking: arbiter release/abort of an unknown
     # commit_id raises ProtocolError instead of being counted and ignored.
     strict_protocol: bool = False
-    # Micro-op interpreter. "batched" pre-compiles each thread's program
-    # into flat op-stream arrays and executes straight-line runs inline
-    # (bit-identical to scalar; see docs/performance.md); "scalar" is the
-    # reference per-op dispatch path.  The REPRO_INTERPRETER environment
-    # variable, when set, overrides this field.
-    interpreter: str = "batched"
     # Fault-recovery hardening (timeouts, bounded retries, watchdogs).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
@@ -277,11 +271,6 @@ class BulkSCConfig:
             raise ConfigError("chunk size must be positive")
         if self.num_arbiters < 1:
             raise ConfigError("need at least one arbiter")
-        if self.interpreter not in ("batched", "scalar"):
-            raise ConfigError(
-                f"unknown interpreter {self.interpreter!r} "
-                "(expected 'batched' or 'scalar')"
-            )
         if (
             self.arbiter_topology is ArbiterTopology.CENTRAL
             and self.num_arbiters != 1

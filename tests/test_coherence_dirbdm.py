@@ -126,6 +126,23 @@ class TestReadDisable:
     def test_enable_unknown_commit_is_noop(self, dirbdm):
         dirbdm.enable_reads(99)
 
+    def test_any_read_disabled_tracks_open_windows(self, dirbdm):
+        assert not dirbdm.any_read_disabled()
+        dirbdm.disable_reads(1, w_sig(10))
+        assert dirbdm.any_read_disabled()
+        dirbdm.enable_reads(1)
+        assert not dirbdm.any_read_disabled()
+
+    def test_any_read_disabled_has_no_side_effect(self, dirbdm):
+        """Unlike is_read_disabled, the guard never counts a bounce."""
+        dirbdm.disable_reads(1, w_sig(10))
+        before = dirbdm.stats.snapshot()
+        for __ in range(3):
+            assert dirbdm.any_read_disabled()
+        assert dirbdm.stats.snapshot() == before
+        assert dirbdm.is_read_disabled(10)
+        assert dirbdm.stats.snapshot() != before
+
 
 def test_directory_sets_must_be_power_of_two(directory):
     with pytest.raises(ValueError):

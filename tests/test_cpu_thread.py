@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.checkpoint import Checkpoint
 from repro.cpu.isa import Compute, Load, Store
+from repro.cpu.opstream import K_COMPUTE, K_LOAD, K_STORE, V_LIT, stream_for
 from repro.cpu.thread import ThreadContext, ThreadProgram
 from repro.errors import ProgramError
 
@@ -25,6 +26,16 @@ class TestThreadProgram:
         program = make_program()
         assert isinstance(program[0], Load)
         assert len(list(program)) == 3
+
+    def test_op_stream_is_memoized_per_line_geometry(self):
+        program = make_program()
+        stream = program.op_stream(3)
+        assert program.op_stream(3) is stream
+        assert stream_for(program, 3) is stream
+        assert program.op_stream(2) is not stream
+        assert stream.kinds == (K_LOAD, K_COMPUTE, K_STORE)
+        assert stream.lines == (0, 0, 1 >> 3)
+        assert stream.vspecs[2] == (V_LIT, 5, 0)
 
     def test_empty_program(self):
         program = ThreadProgram([])

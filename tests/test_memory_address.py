@@ -117,3 +117,22 @@ class TestScatteredAllocation:
         for i in range(200):
             starts.add(space.allocate_scattered(f"r{i}", 8).start_word)
         assert len(starts) == 200
+
+
+@pytest.mark.parametrize("allocator", ["allocate", "allocate_scattered"])
+def test_regions_start_and_end_on_line_boundaries(amap, allocator):
+    """Regions own whole lines, so privacy can be classified per line.
+
+    The BulkSC driver memoizes the statically-private attribute per cache
+    line; that is exact only while no line straddles two regions.
+    """
+    space = AddressSpace(amap, scatter_seed=3)
+    allocate = getattr(space, allocator)
+    wpl = amap.words_per_line
+    for i, size in enumerate([1, 3, 8, 9, 17, 64, 100]):
+        region = allocate(f"r{i}", size, private_to=i % 2)
+        assert region.start_word % wpl == 0
+        assert region.end_word % wpl == 0
+        for word in (region.start_word, region.end_word - 1):
+            line_words = amap.words_of_line(amap.line_of(word))
+            assert {space.region_of(w) for w in line_words} == {region}

@@ -180,15 +180,22 @@ class TestArrayOperations:
         batch.insert_many(self.ADDRS)
         for addr in self.ADDRS:
             loop.insert(addr)
-        assert batch._bits == loop._bits
+        assert batch.bits == loop.bits
         assert batch.exact_members() == loop.exact_members()
 
     def test_masks_of_is_the_union_of_single_masks(self):
         sig = make()
         expected = 0
         for addr in self.ADDRS:
-            expected |= sig._hash(addr)[0]
+            expected |= sig.mask_of(addr)
         assert sig.masks_of(self.ADDRS) == expected
+
+    def test_mask_of_is_the_single_insert_image(self):
+        for addr in self.ADDRS:
+            sig = make()
+            sig.insert(addr)
+            assert sig.bits == sig.mask_of(addr)
+            assert sig.member(addr)
 
     def test_masks_of_empty_array_is_zero(self):
         assert make().masks_of([]) == 0
