@@ -75,6 +75,9 @@ class SetAssocCache:
         self._lru_clock = itertools.count()
         self.hits = 0
         self.misses = 0
+        #: Lines removed by :meth:`invalidate`; lets holders of CacheLine
+        #: references notice that one may have left the array.
+        self.invalidations = 0
 
     # -- geometry ------------------------------------------------------------
     def set_index(self, line_addr: int) -> int:
@@ -165,7 +168,10 @@ class SetAssocCache:
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:
         """Remove a line (coherence invalidation); returns it if present."""
         cache_set = self._sets.get(line_addr & self._set_mask)
-        return cache_set.pop(line_addr, None) if cache_set is not None else None
+        line = cache_set.pop(line_addr, None) if cache_set is not None else None
+        if line is not None:
+            self.invalidations += 1
+        return line
 
     def set_state(self, line_addr: int, state: LineState) -> None:
         line = self.probe(line_addr)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cpu.isa import Compute, Load, Store
+from repro.cpu.isa import Compute, Load, Reg, RegPlus, Store
 from repro.cpu.thread import ThreadProgram
 from repro.memory.address import AddressMap, AddressSpace
+from repro.errors import ProgramError
 from repro.params import bsc_dypvt
 from repro.system import Machine, run_workload
 from repro.verify.sc_checker import check_sequential_consistency
@@ -137,3 +138,15 @@ class TestRegisterStateAcrossSquashes:
                 if e.proc == 0 and not e.is_store
             ]
             assert loads[-1].value == final_r
+
+
+class TestStoreOperands:
+    def test_register_operands_resolve(self):
+        ops = [Store(8, 5), Load("r", 8), Store(16, Reg("r")), Store(24, RegPlus("r", 2))]
+        result = run_ops(bsc_dypvt(), [ops])
+        assert [result.memory.peek(a) for a in (8, 16, 24)] == [5, 5, 7]
+
+    @pytest.mark.parametrize("operand", [Reg("never"), RegPlus("never", 1), object()])
+    def test_unresolvable_operand_raises_at_the_store(self, operand):
+        with pytest.raises(ProgramError):
+            run_ops(bsc_dypvt(), [[Compute(3), Store(8, operand)]])
