@@ -115,9 +115,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_litmus(args: argparse.Namespace) -> int:
-    from repro.cpu.isa import Compute
-    from repro.cpu.thread import ThreadProgram
-    from repro.memory.address import AddressMap, AddressSpace
+    from repro.replay.workload import LITMUS_STAGGERS, build_workload, litmus_spec
     from repro.verify.litmus import all_litmus_tests
     from repro.verify.sc_checker import check_sequential_consistency
 
@@ -125,30 +123,17 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
     if config_factory is None:
         print(f"unknown configuration {args.config!r}", file=sys.stderr)
         return 2
-    staggers = [(1, 1), (1, 60), (60, 1), (200, 7)]
     print(f"litmus under {args.config}:")
     exit_code = 0
     for test in all_litmus_tests():
         forbidden = failures = runs = 0
         for seed in range(args.seed, args.seed + 3):
             config = config_factory(seed=seed)
-            for stagger in staggers:
+            for stagger in LITMUS_STAGGERS:
                 runs += 1
-                space = AddressSpace(
-                    AddressMap(config.memory.words_per_line, config.num_directories)
+                programs, space, __ = build_workload(
+                    litmus_spec(test.name, stagger), config
                 )
-                addrs = {
-                    var: space.allocate(
-                        var, config.memory.words_per_line
-                    ).start_word
-                    for var in test.variables
-                }
-                programs = [
-                    ThreadProgram(
-                        [Compute(stagger[i % len(stagger)])] + ops, name=f"t{i}"
-                    )
-                    for i, ops in enumerate(test.build(addrs))
-                ]
                 result = run_workload(config, programs, space)
                 forbidden += test.forbidden(result.registers)
                 failures += not check_sequential_consistency(result.history).ok

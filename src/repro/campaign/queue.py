@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import CampaignSpec, FaultVariant
 from repro.harness.runner import memo_key
@@ -37,6 +37,15 @@ class CampaignCell:
     fault: FaultVariant
     instructions: int
     max_events: int
+    #: ``(seed, label)`` the cell's fault injector is forked from, when
+    #: not the campaign default ``(seed, "campaign/<key>")`` — the
+    #: ``chaos`` front-end labels its runs itself.  Not part of the memo
+    #: tuple, so it never changes a cell key.
+    injector: Optional[Tuple[int, str]] = None
+
+    def injector_identity(self) -> Tuple[int, str]:
+        """The ``(seed, label)`` of this cell's fault injector."""
+        return self.injector or (self.seed, f"campaign/{self.key}")
 
     def workload_spec(self) -> dict:
         """The concrete replay-dialect workload spec for this cell.

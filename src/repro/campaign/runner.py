@@ -17,6 +17,12 @@ The runner turns the deterministic cell queue into durable evidence:
   outcome) are re-recorded as replayable traces and fed to the PR 3
   ddmin minimizer; both artifacts land under ``<store>/traces/``.
 
+Cell execution — fan-out, retries, the serial fallback and infra
+outcomes — is :func:`execute_cells`, which the in-memory ``chaos``
+front-end (:func:`repro.faults.chaos.run_chaos`) runs its grid through
+too; :func:`execute_cell` is the only code that certifies a
+fault-injected cell.
+
 Aggregates are computed from the store in canonical cell order, purely
 from deterministic per-cell outcome payloads — which is what makes a
 killed-and-resumed campaign's final report bit-identical to an
@@ -26,14 +32,14 @@ uninterrupted one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.campaign.queue import CampaignCell, cells_by_key, expand_cells
 from repro.campaign.report import aggregate_report
 from repro.campaign.store import CampaignStore
 from repro.errors import ReproError
-from repro.harness.parallel import CellFailure, parallel_map
+from repro.harness.parallel import CellFailure, default_jobs, parallel_map
 
 #: After this many shards needed the serial fallback, stop forking
 #: altogether for the rest of the session.
@@ -61,15 +67,8 @@ class RunnerOptions:
     claim_lease: float = 900.0
 
 
-def _execute_contracts_cell(cell: CampaignCell) -> dict:
-    """Statically contract-check a recorded trace (no simulation).
-
-    Outcome statuses: ``ok``, ``contract-violation`` (with localized
-    witnesses in the payload), or ``error`` (unreadable/invalid trace).
-    """
-    from repro.contracts.checker import check_trace
-    from repro.replay.schema import read_trace
-
+def _outcome(cell: CampaignCell, **fields) -> dict:
+    """A cell's outcome payload: the shared defaults, then ``fields``."""
     outcome: Dict[str, object] = {
         "key": cell.key,
         "name": cell.name,
@@ -82,19 +81,33 @@ def _execute_contracts_cell(cell: CampaignCell) -> dict:
         "crashes": 0,
         "recovery_cycles": 0.0,
     }
+    outcome.update(fields)
+    return outcome
+
+
+def _execute_contracts_cell(cell: CampaignCell) -> dict:
+    """Statically contract-check a recorded trace (no simulation).
+
+    Outcome statuses: ``ok``, ``contract-violation`` (with localized
+    witnesses in the payload), or ``error`` (unreadable/invalid trace).
+    """
+    from repro.contracts.checker import check_trace
+    from repro.replay.schema import read_trace
+
     component = cell.workload.get("component", "all")
     components = None if component == "all" else [component]
     try:
         trace = read_trace(cell.workload["trace"])
         report = check_trace(trace, components=components)
     except (ReproError, OSError) as exc:
-        outcome["status"] = "error"
-        outcome["error"] = f"{type(exc).__name__}: {exc}"
-        return outcome
-    outcome["contracts"] = {
-        "failing": list(report.failing_components),
-        "witnesses": [w.payload() for w in report.witnesses[:10]],
-    }
+        return _outcome(cell, status="error", error=f"{type(exc).__name__}: {exc}")
+    outcome = _outcome(
+        cell,
+        contracts={
+            "failing": list(report.failing_components),
+            "witnesses": [w.payload() for w in report.witnesses[:10]],
+        },
+    )
     if not report.ok:
         outcome["status"] = "contract-violation"
         outcome["sc_reason"] = report.witnesses[0].describe()
@@ -104,11 +117,13 @@ def _execute_contracts_cell(cell: CampaignCell) -> dict:
 def execute_cell(cell: CampaignCell) -> dict:
     """Run one cell and return its pure-data outcome payload.
 
-    Deterministic per cell: the injector is seeded from the cell seed
-    and labeled with the cell key, so re-running an in-flight cell after
-    a crash reproduces the identical outcome.  Never raises for a
-    *simulation* failure — typed errors become ``status="error"``
-    payloads; an untyped exception is a harness bug and propagates.
+    Deterministic per cell: the injector is forked from the cell's
+    :meth:`~repro.campaign.queue.CampaignCell.injector_identity`, so
+    re-running an in-flight cell after a crash reproduces the identical
+    outcome.  Never raises for a *simulation* failure — typed errors
+    become ``status="error"`` payloads that also carry the injected
+    faults as ``fault_trace`` (:class:`~repro.faults.injector.FaultRecord`
+    field dicts); an untyped exception is a harness bug and propagates.
 
     ``contracts`` cells never touch the simulator: they statically
     check a recorded trace against the component contracts.
@@ -123,18 +138,6 @@ def execute_cell(cell: CampaignCell) -> dict:
     from repro.system import run_workload
     from repro.verify.sc_checker import check_sequential_consistency
 
-    outcome: Dict[str, object] = {
-        "key": cell.key,
-        "name": cell.name,
-        "status": "ok",
-        "error": None,
-        "cycles": 0.0,
-        "faults_injected": 0,
-        "fault_summary": "",
-        "sc_reason": "",
-        "crashes": 0,
-        "recovery_cycles": 0.0,
-    }
     config = NAMED_CONFIGS[cell.config](seed=cell.seed)
     if cell.fault.no_retry:
         config = config.with_resilience(retries_enabled=False)
@@ -144,7 +147,8 @@ def execute_cell(cell: CampaignCell) -> dict:
         if cell.fault.faults
         else FaultPlan.none()
     )
-    injector = FaultInjector(plan, seed=cell.seed, label=f"campaign/{cell.key}")
+    injector_seed, injector_label = cell.injector_identity()
+    injector = FaultInjector(plan, seed=injector_seed, label=injector_label)
     if cell.fault.crashes:
         injector.crash_script = crash_script_from(cell.fault.crashes)
     try:
@@ -157,16 +161,23 @@ def execute_cell(cell: CampaignCell) -> dict:
             max_events=cell.max_events,
         )
     except ReproError as exc:
-        outcome["status"] = "error"
-        outcome["error"] = f"{type(exc).__name__}: {exc}"
-        outcome["faults_injected"] = injector.total_injected
-        outcome["fault_summary"] = injector.summary()
-        return outcome
-    outcome["cycles"] = result.cycles
-    outcome["faults_injected"] = injector.total_injected
-    outcome["fault_summary"] = injector.summary()
-    outcome["crashes"] = int(result.stat("recovery.crashes"))
-    outcome["recovery_cycles"] = result.stat("recovery.total_cycles.mean")
+        trace = getattr(exc, "fault_trace", None) or injector.trace
+        return _outcome(
+            cell,
+            status="error",
+            error=f"{type(exc).__name__}: {exc}",
+            faults_injected=injector.total_injected,
+            fault_summary=injector.summary(),
+            fault_trace=[asdict(record) for record in trace],
+        )
+    outcome = _outcome(
+        cell,
+        cycles=result.cycles,
+        faults_injected=injector.total_injected,
+        fault_summary=injector.summary(),
+        crashes=int(result.stat("recovery.crashes")),
+        recovery_cycles=result.stat("recovery.total_cycles.mean"),
+    )
     check = check_sequential_consistency(result.history)
     if not check.ok:
         outcome["status"] = "sc-violation"
@@ -178,19 +189,57 @@ def execute_cell(cell: CampaignCell) -> dict:
 
 def _infra_outcome(cell: CampaignCell, failure: CellFailure) -> dict:
     """Outcome payload for a cell the harness (not the simulator) lost."""
-    return {
-        "key": cell.key,
-        "name": cell.name,
-        "status": "timeout" if failure.kind == "timeout" else "worker-crash",
-        "error": failure.error,
-        "cycles": 0.0,
-        "faults_injected": 0,
-        "fault_summary": "",
-        "sc_reason": "",
-        "crashes": 0,
-        "recovery_cycles": 0.0,
-        "attempts": failure.attempts,
-    }
+    return _outcome(
+        cell,
+        status="timeout" if failure.kind == "timeout" else "worker-crash",
+        error=failure.error,
+        attempts=failure.attempts,
+    )
+
+
+def execute_cells(
+    cells: Sequence[CampaignCell],
+    options: RunnerOptions,
+    serial: bool = False,
+    on_crash: Optional[Callable[[int], None]] = None,
+) -> Iterator[dict]:
+    """Yield each cell's :func:`execute_cell` outcome, in cell order.
+
+    With one job (or ``serial``) and no ``cell_timeout`` the cells run
+    in-process and lazily, so a caller that stops consuming never
+    starts the remaining cells.  Otherwise they fan out over
+    :func:`~repro.harness.parallel.parallel_map` with the options'
+    timeout, retries and backoff.  Cells whose workers kept dying
+    through the retries are re-run serially in-process (``on_crash`` is
+    told how many first); a cell the harness still lost yields an
+    :func:`_infra_outcome`.
+    """
+    jobs = 1 if serial else options.jobs or default_jobs()
+    if jobs <= 1 and options.cell_timeout is None:
+        for cell in cells:
+            yield execute_cell(cell)
+        return
+    results = parallel_map(
+        execute_cell,
+        cells,
+        jobs=jobs,
+        timeout=options.cell_timeout,
+        retries=options.retries,
+        backoff=options.backoff,
+        failure_mode="return",
+    )
+    crashed = sum(
+        1 for r in results if isinstance(r, CellFailure) and r.kind == "crash"
+    )
+    if crashed and on_crash is not None:
+        on_crash(crashed)
+    for cell, result in zip(cells, results):
+        if isinstance(result, CellFailure) and result.kind == "crash":
+            try:
+                result = execute_cell(cell)
+            except ReproError:
+                pass  # keep the infra failure on record
+        yield _infra_outcome(cell, result) if isinstance(result, CellFailure) else result
 
 
 def _minimize_failures(
@@ -222,6 +271,7 @@ def _minimize_failures(
             continue
         budget -= 1
         say(f"minimizing failing cell {cell.name}")
+        injector_seed, injector_label = cell.injector_identity()
         try:
             recorded = record_run(
                 spec=cell.workload_spec(),
@@ -230,8 +280,8 @@ def _minimize_failures(
                 faults=cell.fault.faults or None,
                 rate=cell.fault.rate,
                 no_retry=cell.fault.no_retry,
-                injector_seed=cell.seed,
-                injector_label=f"campaign/{cell.key}",
+                injector_seed=injector_seed,
+                injector_label=injector_label,
                 max_events=cell.max_events,
                 kind="chaos",
                 crashes=list(cell.fault.crashes) or None,
@@ -304,6 +354,27 @@ def run_campaign(
     )
     degraded = 0
     shard_index = len(state.checkpoints)
+
+    def degrade(crashed: int) -> None:
+        # The pool's own retries were exhausted: the executor re-runs
+        # the current shard's lost cells serially in-process.
+        nonlocal degraded
+        degraded += 1
+        store.append(
+            {
+                "type": "degrade",
+                "shard": shard_index,
+                "crashed": crashed,
+                "permanent": degraded >= DEGRADE_AFTER,
+                "ts": time.time(),  # detlint: ok[DET003] — log-envelope timestamp, never aggregated
+            }
+        )
+        say(
+            f"shard {shard_index}: {crashed} worker crash(es) "
+            f"survived retries — re-running serially"
+            + (" (degrading to serial)" if degraded >= DEGRADE_AFTER else "")
+        )
+
     for start in range(0, len(pending), options.shard_size):
         shard = pending[start : start + options.shard_size]
         claimed_at = time.time()  # detlint: ok[DET003] — log-envelope timestamp, never aggregated
@@ -317,54 +388,18 @@ def run_campaign(
             }
         )
         shard_started = time.monotonic()  # detlint: ok[DET003] — shard wall-clock bookkeeping
-        use_serial = degraded >= DEGRADE_AFTER or options.jobs <= 1
-        if use_serial and options.cell_timeout is None:
-            results = [execute_cell(cell) for cell in shard]
-        else:
-            results = parallel_map(
-                execute_cell,
-                shard,
-                jobs=1 if use_serial else options.jobs,
-                timeout=options.cell_timeout,
-                retries=options.retries,
-                backoff=options.backoff,
-                failure_mode="return",
+        outcomes = list(
+            execute_cells(
+                shard, options, serial=degraded >= DEGRADE_AFTER, on_crash=degrade
             )
-        crashed = [
-            (i, r) for i, r in enumerate(results)
-            if isinstance(r, CellFailure) and r.kind == "crash"
-        ]
-        if crashed:
-            # The pool's own retries were exhausted: fall back to
-            # running the lost cells serially in-process.
-            degraded += 1
-            store.append(
-                {
-                    "type": "degrade",
-                    "shard": shard_index,
-                    "crashed": len(crashed),
-                    "permanent": degraded >= DEGRADE_AFTER,
-                    "ts": time.time(),  # detlint: ok[DET003] — log-envelope timestamp, never aggregated
-                }
-            )
-            say(
-                f"shard {shard_index}: {len(crashed)} worker crash(es) "
-                f"survived retries — re-running serially"
-                + (" (degrading to serial)" if degraded >= DEGRADE_AFTER else "")
-            )
-            for i, failure in crashed:
-                try:
-                    results[i] = execute_cell(shard[i])
-                except ReproError:
-                    results[i] = failure  # keep the infra failure on record
+        )
         elapsed = time.monotonic() - shard_started  # detlint: ok[DET003] — shard wall-clock bookkeeping
         records = []
-        for cell, result in zip(shard, results):
-            outcome = (
-                _infra_outcome(cell, result)
-                if isinstance(result, CellFailure)
-                else result
-            )
+        for cell, outcome in zip(shard, outcomes):
+            # The fault trace only rides back to in-memory callers; the
+            # log keeps slim outcomes, and failing cells are re-recorded
+            # as replay traces under traces/ instead.
+            outcome.pop("fault_trace", None)
             records.append(
                 {
                     "type": "result",

@@ -26,8 +26,9 @@ the config × seed fan-out to one cell each.
 
 The CLI accepts shorthand strings and expands them here:
 
-* ``litmus`` — every litmus test under the default stagger grid;
-* ``litmus:SB`` — one test under the default stagger grid;
+* ``litmus`` — every litmus test under the quick stagger grid
+  (:data:`repro.replay.workload.QUICK_LITMUS_STAGGERS`);
+* ``litmus:SB`` — one test under the quick stagger grid;
 * ``litmus:SB/1-60`` — one test under one stagger;
 * ``app:fft`` — one synthetic application;
 * ``apps`` — the first three synthetic applications (the chaos set);
@@ -42,10 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError, ConfigError
 from repro.faults.plan import CrashPoint, FaultPlan
-
-#: The stagger preambles shorthand litmus workloads expand to — the
-#: chaos harness's quick grid (see ``repro.faults.chaos``).
-DEFAULT_STAGGERS: Tuple[Tuple[int, ...], ...] = ((1, 1), (60, 1))
+from repro.replay.workload import QUICK_LITMUS_STAGGERS
 
 SPEC_VERSION = 1
 
@@ -153,7 +151,7 @@ def expand_workload_arg(arg: str) -> List[dict]:
         return [
             {"kind": "litmus", "test": name, "stagger": list(stagger)}
             for name in _litmus_names()
-            for stagger in DEFAULT_STAGGERS
+            for stagger in QUICK_LITMUS_STAGGERS
         ]
     if text == "apps":
         from repro.harness.runner import ALL_APPS
@@ -161,7 +159,7 @@ def expand_workload_arg(arg: str) -> List[dict]:
         return [{"kind": "app", "app": app} for app in ALL_APPS[:3]]
     if text.startswith("litmus:"):
         rest = text[len("litmus:"):]
-        stagger_grid: Sequence[Tuple[int, ...]] = DEFAULT_STAGGERS
+        stagger_grid: Sequence[Tuple[int, ...]] = QUICK_LITMUS_STAGGERS
         if "/" in rest:
             rest, stagger_text = rest.split("/", 1)
             try:

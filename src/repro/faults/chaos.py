@@ -19,36 +19,26 @@ silent wrong answer is a bug in the simulator, not a fault outcome.
 Everything is deterministic per ``(seed, plan, workload)``: each run gets
 its own injector forked from the campaign seed and a per-run label.
 
-This module imports :mod:`repro.system`, so it must not be re-exported
-from ``repro.faults.__init__`` (the system module itself imports the
-injector).
+:func:`run_chaos` is a front-end over the campaign cell executor
+(:func:`repro.campaign.runner.execute_cells`): it lays the grid out as
+:class:`~repro.campaign.queue.CampaignCell` objects carrying those
+injector identities and folds the outcomes into a :class:`ChaosReport`.
+The campaign modules (and through them :mod:`repro.system`) are
+imported lazily, so importing this module stays cheap; it must still
+not be re-exported from ``repro.faults.__init__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cpu.isa import Compute
-from repro.cpu.thread import ThreadProgram
-from repro.errors import ReproError
-from repro.faults.injector import FaultInjector, FaultRecord
-from repro.faults.plan import CrashPoint, FaultPlan, crash_script_from
-from repro.harness.parallel import parallel_map
-from repro.harness.runner import ALL_APPS, build_app_workload
-from repro.memory.address import AddressMap, AddressSpace
-from repro.params import NAMED_CONFIGS
-from repro.replay.workload import app_spec, litmus_spec
-from repro.system import run_workload
-from repro.verify.litmus import all_litmus_tests
-from repro.verify.sc_checker import check_sequential_consistency
+from repro.faults.injector import FaultRecord
+from repro.faults.plan import CrashPoint, FaultPlan
 
 #: Event budget per chaos run — small enough to abort a genuine livelock
 #: quickly, large enough that backoff/retry storms still converge.
 CHAOS_MAX_EVENTS = 2_000_000
-
-_STAGGERS = [(1, 1), (1, 60), (60, 1), (200, 7)]
-_QUICK_STAGGERS = [(1, 1), (60, 1)]
 
 
 @dataclass
@@ -78,6 +68,32 @@ class ChaosRunRecord:
     @property
     def ok(self) -> bool:
         return self.error is None and self.sc_certified and not self.forbidden_outcome
+
+    @classmethod
+    def from_outcome(cls, cell, outcome: dict) -> "ChaosRunRecord":
+        """The record of a chaos cell from its campaign outcome payload."""
+        __, label = cell.injector_identity()
+        status = outcome["status"]
+        return cls(
+            # Run names are the injector labels with a colon after the
+            # workload family: ``litmus:SB/s7/g0``, ``synthetic:fft``.
+            name=label.replace("/", ":", 1),
+            seed=cell.seed,
+            cycles=outcome["cycles"],
+            faults_injected=outcome["faults_injected"],
+            fault_summary=outcome["fault_summary"],
+            sc_certified=status in ("ok", "forbidden"),
+            sc_reason=outcome["sc_reason"],
+            forbidden_outcome=status == "forbidden",
+            crashes=outcome["crashes"],
+            recovery_cycles=outcome["recovery_cycles"],
+            error=outcome["error"],
+            repro={
+                "workload": cell.workload_spec(),
+                "injector_label": label,
+                "config_seed": cell.seed,
+            },
+        )
 
 
 @dataclass
@@ -131,6 +147,22 @@ class ChaosReport:
         return bool(self.runs) and all(r.ok for r in self.runs)
 
 
+def _chaos_axes(workload: str, seed: int, quick: bool):
+    """The litmus tests, staggers, synthetic apps and seeds of a chaos grid."""
+    from repro.harness.runner import ALL_APPS
+    from repro.replay.workload import LITMUS_STAGGERS, QUICK_LITMUS_STAGGERS
+    from repro.verify.litmus import all_litmus_tests
+
+    if workload not in ("litmus", "synthetic", "mix"):
+        raise ValueError(f"unknown chaos workload {workload!r}")
+    return (
+        all_litmus_tests() if workload in ("litmus", "mix") else [],
+        QUICK_LITMUS_STAGGERS if quick else LITMUS_STAGGERS,
+        (ALL_APPS[:1] if quick else ALL_APPS[:3]) if workload != "litmus" else [],
+        [seed] if quick else [seed, seed + 1],
+    )
+
+
 def chaos_campaign_spec(
     seed: int,
     faults: str,
@@ -144,34 +176,31 @@ def chaos_campaign_spec(
 ):
     """Map a ``chaos`` CLI invocation onto a durable campaign spec.
 
-    This is the campaign-mode entry of the chaos harness: the same
-    (workload x seed x stagger) grid an in-memory :func:`run_chaos`
-    campaign sweeps, expressed as a
-    :class:`~repro.campaign.spec.CampaignSpec` so it can run
-    checkpointed, sharded, and resumable through
-    :func:`repro.campaign.runner.run_campaign` (``chaos --campaign
-    DIR``).  Cell outcomes use the campaign determinism scheme (the
-    injector is seeded per cell), so a durable chaos campaign is
-    reproducible cell-by-cell rather than report-by-report.
+    This is the campaign-mode entry of the chaos harness (``chaos
+    --campaign DIR``): the chaos workloads, staggers and seeds expressed
+    as a :class:`~repro.campaign.spec.CampaignSpec`, so they run
+    checkpointed, sharded and resumable through
+    :func:`repro.campaign.runner.run_campaign`.  It is *not* the grid an
+    in-memory :func:`run_chaos` sweeps, in three ways:
+
+    * without ``quick``, the synthetic apps run at both seeds (chaos
+      runs them at ``seed`` only);
+    * cells follow the campaign order, workload → seed, not chaos's
+      litmus test → seed → stagger;
+    * each cell's injector is seeded from its cell seed and labeled with
+      its cell key, not from the chaos seed and a per-run label.
+
+    So a durable chaos campaign is reproducible cell-by-cell, and its
+    outcomes differ from a ``chaos`` report's run by run.
     """
     from repro.campaign.spec import CampaignSpec, FaultVariant
+    from repro.replay.workload import litmus_spec
 
-    if workload not in ("litmus", "synthetic", "mix"):
-        raise ValueError(f"unknown chaos workload {workload!r}")
+    tests, staggers, apps, seeds = _chaos_axes(workload, seed, quick)
     FaultPlan.parse(faults, rate=rate)  # validate the spelling up front
-    workloads: List[dict] = []
-    if workload in ("litmus", "mix"):
-        staggers = _QUICK_STAGGERS if quick else _STAGGERS
-        workloads.extend(
-            {"kind": "litmus", "test": test.name, "stagger": list(stagger)}
-            for test in all_litmus_tests()
-            for stagger in staggers
-        )
-    if workload in ("synthetic", "mix"):
-        workloads.extend(
-            {"kind": "app", "app": app}
-            for app in (ALL_APPS[:1] if quick else ALL_APPS[:3])
-        )
+    workloads = [
+        litmus_spec(test.name, stagger) for test in tests for stagger in staggers
+    ] + [{"kind": "app", "app": app} for app in apps]
     variant = FaultVariant(
         faults=faults,
         rate=rate,
@@ -182,7 +211,7 @@ def chaos_campaign_spec(
         name=f"chaos-{workload}-s{seed}",
         configs=(config_name,),
         workloads=tuple(workloads),
-        seeds=(seed,) if quick else (seed, seed + 1),
+        seeds=tuple(seeds),
         faults=(variant,),
         instructions=instructions,
         max_events=CHAOS_MAX_EVENTS,
@@ -217,18 +246,20 @@ def run_chaos(
         quick: Trim the campaign for smoke tests (CI).
         crashes: Scripted arbiter crashes (``POINT:OCC[:TARGET]``
             spellings), applied to *every* run of the campaign.
-        jobs: Worker processes for the campaign's independent runs.
+        jobs: Worker processes for the campaign's independent runs
+            (``0`` = one per CPU), fanned out by the campaign executor.
             Each run has its own injector forked from the campaign seed,
-            so fan-out cannot change any run's schedule; the merged
-            report is truncated at the first error in campaign order,
-            making it bit-identical to a serial (stop-at-first-error)
-            campaign.
+            so fan-out cannot change any run's schedule; the report is
+            truncated at the first error in campaign order, making it
+            bit-identical to a serial (stop-at-first-error) campaign.
     """
-    if workload not in ("litmus", "synthetic", "mix"):
-        raise ValueError(f"unknown chaos workload {workload!r}")
+    from repro.campaign.queue import CampaignCell
+    from repro.campaign.runner import RunnerOptions, execute_cells
+    from repro.campaign.spec import FaultVariant
+    from repro.replay.workload import litmus_spec
+
+    tests, staggers, apps, seeds = _chaos_axes(workload, seed, quick)
     plan = FaultPlan.parse(faults, rate=rate)
-    crash_points = [CrashPoint.parse(s) for s in crashes]
-    crash_script = crash_script_from(crash_points)
     report = ChaosReport(
         seed=seed,
         workload=workload,
@@ -237,191 +268,41 @@ def run_chaos(
         retries_enabled=not no_retry,
         faults_spelling=faults,
         rate=rate,
-        crashes_spelling=tuple(cp.canonical() for cp in crash_points),
+        crashes_spelling=tuple(CrashPoint.parse(c).canonical() for c in crashes),
     )
-    if workload in ("litmus", "mix"):
-        if not _litmus_campaign(
-            report, plan, seed, config_name, no_retry, quick, crash_script, jobs
-        ):
-            return report
-    if workload in ("synthetic", "mix"):
-        _synthetic_campaign(
-            report, plan, seed, config_name, no_retry, instructions, quick,
-            crash_script, jobs,
+    # (workload spec, config seed, injector label) in chaos order: litmus
+    # test -> seed -> stagger, then the synthetic apps at the chaos seed.
+    grid = [
+        (
+            litmus_spec(test.name, stagger),
+            run_seed,
+            f"litmus/{test.name}/s{run_seed}/g{gi}",
         )
-    return report
-
-
-def _config_for(config_name: str, seed: int, no_retry: bool):
-    config = NAMED_CONFIGS[config_name](seed=seed)
-    if no_retry:
-        config = config.with_resilience(retries_enabled=False)
-    return config
-
-
-def _execute(
-    record: ChaosRunRecord,
-    config,
-    programs,
-    space,
-    injector: FaultInjector,
-) -> Tuple[Optional["object"], List[FaultRecord]]:
-    """Run one workload, filling ``record`` in place.
-
-    Returns ``(result, failure_trace)``: the
-    :class:`~repro.system.RunResult` on completion, or ``None`` plus the
-    injected-fault trace when the run raised a typed :class:`ReproError`
-    — which stops the campaign so the trace stays front and center.
-    """
-    try:
-        result = run_workload(
-            config,
-            programs,
-            space,
-            record_history=True,
-            fault_injector=injector,
-            max_events=CHAOS_MAX_EVENTS,
-        )
-    except ReproError as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.faults_injected = injector.total_injected
-        record.fault_summary = injector.summary()
-        return None, list(getattr(exc, "fault_trace", ()) or injector.trace)
-    record.cycles = result.cycles
-    record.faults_injected = injector.total_injected
-    record.fault_summary = injector.summary()
-    record.crashes = int(result.stat("recovery.crashes"))
-    record.recovery_cycles = result.stat("recovery.total_cycles.mean")
-    check = check_sequential_consistency(result.history)
-    record.sc_certified = check.ok
-    record.sc_reason = check.reason
-    return result, []
-
-
-def _merge_outcomes(
-    report: ChaosReport,
-    outcomes: Sequence[Tuple[ChaosRunRecord, List[FaultRecord]]],
-) -> bool:
-    """Append run records in campaign order, stopping at the first error.
-
-    This is what makes a fanned-out campaign report bit-identical to a
-    serial one: workers complete out of order, but records merge in the
-    canonical cell order and the report is truncated exactly where a
-    serial campaign would have stopped.
-    """
-    for record, trace in outcomes:
-        report.runs.append(record)
-        if record.error is not None:
-            report.failure_trace = trace
-            return False
-    return True
-
-
-def _campaign_outcomes(run_cell, cells, jobs: int):
-    """Run campaign cells, serially with early stop or fanned out.
-
-    Serial campaigns stop at the first error without running later
-    cells; parallel campaigns run everything and rely on
-    :func:`_merge_outcomes` to truncate identically.
-    """
-    if jobs == 1:
-        outcomes = []
-        for cell in cells:
-            outcome = run_cell(cell)
-            outcomes.append(outcome)
-            if outcome[0].error is not None:
-                break
-        return outcomes
-    return parallel_map(run_cell, cells, jobs=jobs)
-
-
-def _litmus_campaign(
-    report: ChaosReport,
-    plan: FaultPlan,
-    seed: int,
-    config_name: str,
-    no_retry: bool,
-    quick: bool,
-    crash_script: Optional[Dict] = None,
-    jobs: int = 1,
-) -> bool:
-    tests = all_litmus_tests()
-    seeds = [seed] if quick else [seed, seed + 1]
-    staggers = _QUICK_STAGGERS if quick else _STAGGERS
-    cells = [
-        (test, run_seed, gi, stagger)
         for test in tests
         for run_seed in seeds
         for gi, stagger in enumerate(staggers)
-    ]
-
-    def run_cell(cell) -> Tuple[ChaosRunRecord, List[FaultRecord]]:
-        test, run_seed, gi, stagger = cell
-        config = _config_for(config_name, run_seed, no_retry)
-        space = AddressSpace(
-            AddressMap(config.memory.words_per_line, config.num_directories)
-        )
-        addrs = {
-            var: space.allocate(var, config.memory.words_per_line).start_word
-            for var in test.variables
-        }
-        programs = [
-            ThreadProgram([Compute(stagger[i % len(stagger)])] + ops, name=f"t{i}")
-            for i, ops in enumerate(test.build(addrs))
-        ]
-        label = f"litmus/{test.name}/s{run_seed}/g{gi}"
-        injector = FaultInjector(plan, seed=seed, label=label)
-        if crash_script:
-            injector.crash_script = dict(crash_script)
-        record = ChaosRunRecord(
-            name=f"litmus:{test.name}/s{run_seed}/g{gi}",
+    ] + [({"kind": "app", "app": app}, seed, f"synthetic/{app}") for app in apps]
+    fault = FaultVariant(faults, rate, no_retry, report.crashes_spelling)
+    cells = [
+        CampaignCell(
+            index=index,
+            config=config_name,
+            workload=spec,
             seed=run_seed,
-            repro={
-                "workload": litmus_spec(test.name, stagger),
-                "injector_label": label,
-                "config_seed": run_seed,
-            },
+            fault=fault,
+            instructions=instructions,
+            max_events=CHAOS_MAX_EVENTS,
+            injector=(seed, label),
         )
-        result, trace = _execute(record, config, programs, space, injector)
-        if result is not None:
-            record.forbidden_outcome = bool(test.forbidden(result.registers))
-        return record, trace
-
-    return _merge_outcomes(report, _campaign_outcomes(run_cell, cells, jobs))
-
-
-def _synthetic_campaign(
-    report: ChaosReport,
-    plan: FaultPlan,
-    seed: int,
-    config_name: str,
-    no_retry: bool,
-    instructions: int,
-    quick: bool,
-    crash_script: Optional[Dict] = None,
-    jobs: int = 1,
-) -> bool:
-    apps = ALL_APPS[:1] if quick else ALL_APPS[:3]
-
-    def run_cell(app) -> Tuple[ChaosRunRecord, List[FaultRecord]]:
-        config = _config_for(config_name, seed, no_retry)
-        workload = build_app_workload(app, config, instructions, seed)
-        label = f"synthetic/{app}"
-        injector = FaultInjector(plan, seed=seed, label=label)
-        if crash_script:
-            injector.crash_script = dict(crash_script)
-        record = ChaosRunRecord(
-            name=f"synthetic:{app}",
-            seed=seed,
-            repro={
-                "workload": app_spec(app, instructions, seed),
-                "injector_label": label,
-                "config_seed": seed,
-            },
-        )
-        __, trace = _execute(
-            record, config, workload.programs, workload.address_space, injector
-        )
-        return record, trace
-
-    return _merge_outcomes(report, _campaign_outcomes(run_cell, list(apps), jobs))
+        for index, (spec, run_seed, label) in enumerate(grid)
+    ]
+    # Stop at the first error: serial campaigns never start later cells,
+    # fanned-out ones are truncated at the same run.
+    for cell, outcome in zip(cells, execute_cells(cells, RunnerOptions(jobs=jobs))):
+        report.runs.append(ChaosRunRecord.from_outcome(cell, outcome))
+        if outcome["error"] is not None:
+            report.failure_trace = [
+                FaultRecord(**record) for record in outcome.get("fault_trace", ())
+            ]
+            break
+    return report

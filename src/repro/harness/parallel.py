@@ -162,7 +162,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     jobs: int = 1,
-    chunksize: int = 1,  # noqa: ARG001 - kept for API compatibility
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = DEFAULT_BACKOFF,
@@ -180,7 +179,6 @@ def parallel_map(
             (they are deterministic bugs, not infra failures).
         items: The cells.
         jobs: Concurrent worker processes; ``0`` = one per CPU.
-        chunksize: Ignored (kept for backwards compatibility).
         timeout: Per-cell wall-clock budget in seconds; a cell that
             exceeds it is killed.  Enforced only where fork exists —
             with ``jobs <= 1`` the cells still run one at a time, each

@@ -26,15 +26,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.cpu.isa import Compute
-from repro.cpu.thread import ThreadProgram
-from repro.memory.address import AddressMap, AddressSpace
 from repro.params import NAMED_CONFIGS, SystemConfig
+from repro.replay.workload import LITMUS_STAGGERS, build_workload, litmus_spec
 from repro.system import run_workload
-
-#: Stagger prefixes used by the commit-heavy litmus sweep (the same
-#: interleaving spread the chaos campaigns use).
-LITMUS_STAGGERS: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 60), (60, 1), (200, 7))
 
 
 @dataclass
@@ -108,20 +102,7 @@ def run_litmus_cell(
     record_history: bool = False,
 ):
     """Run one litmus test under ``config`` with a stagger prefix."""
-    from repro.verify.litmus import all_litmus_tests
-
-    test = next(t for t in all_litmus_tests() if t.name == test_name)
-    space = AddressSpace(
-        AddressMap(config.memory.words_per_line, config.num_directories)
-    )
-    addrs = {
-        var: space.allocate(var, config.memory.words_per_line).start_word
-        for var in test.variables
-    }
-    programs = [
-        ThreadProgram([Compute(stagger[i % len(stagger)])] + ops, name=f"t{i}")
-        for i, ops in enumerate(test.build(addrs))
-    ]
+    programs, space, __ = build_workload(litmus_spec(test_name, stagger), config)
     return run_workload(config, programs, space, record_history=record_history)
 
 

@@ -99,9 +99,6 @@ class SweepRunner:
             self.record_history,
         )
 
-    # Backwards-compatible alias (pre-campaign spelling).
-    _key = memo_key
-
     def config_for(self, config_name: str) -> SystemConfig:
         try:
             config = NAMED_CONFIGS[config_name](seed=self.seed)
@@ -134,7 +131,7 @@ class SweepRunner:
 
     def result(self, config_name: str, app: str) -> RunResult:
         """Run (or fetch) one simulation."""
-        key = self._key(config_name, app)
+        key = self.memo_key(config_name, app)
         cached = self._cache.get(key)
         if cached is not None:
             return cached

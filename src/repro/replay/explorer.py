@@ -28,13 +28,15 @@ from repro.analysis.outcomes import enumerate_sc_outcomes
 from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError, ReproError
 from repro.params import NAMED_CONFIGS
-from repro.replay.workload import build_workload, litmus_addresses, litmus_spec
+from repro.replay.workload import (
+    LITMUS_STAGGERS,
+    QUICK_LITMUS_STAGGERS,
+    build_workload,
+    litmus_addresses,
+    litmus_spec,
+)
 from repro.verify.litmus import all_litmus_tests
 from repro.verify.sc_checker import check_sequential_consistency
-
-#: Thread staggers swept per seed (mirrors the chaos/litmus harnesses).
-STAGGERS: Tuple[Tuple[int, ...], ...] = ((1, 1), (1, 60), (60, 1), (200, 7))
-QUICK_STAGGERS: Tuple[Tuple[int, ...], ...] = ((1, 1), (60, 1))
 
 #: Event budget per exploration run.
 EXPLORE_MAX_EVENTS = 2_000_000
@@ -184,7 +186,7 @@ def explore(
             known = ", ".join(t.name for t in all_litmus_tests())
             raise ProgramError(f"unknown litmus test {litmus!r} (known: {known})")
     seeds = tuple(seeds)
-    staggers = QUICK_STAGGERS if quick else STAGGERS
+    staggers = QUICK_LITMUS_STAGGERS if quick else LITMUS_STAGGERS
     report = ExploreReport(
         config_name=config_name, seeds=seeds, max_denials=max_denials
     )

@@ -13,10 +13,10 @@ dropped thread's program is replaced with an empty one, shrinking the
 repro while keeping processor numbering (and thus addresses and labels)
 stable.
 
-:func:`build_workload` replicates the construction used by the chaos
-and litmus harnesses exactly — same address allocation order, same
-stagger preamble — so a spec recorded from either reproduces the very
-same programs.
+:func:`build_workload` is the one program builder behind the chaos,
+campaign, ``litmus`` and perf harnesses — same address allocation
+order, same stagger preamble — so a spec recorded from any of them
+reproduces the very same programs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError
 from repro.memory.address import AddressMap, AddressSpace
 from repro.params import SystemConfig
+
+#: The compute-stagger preambles a litmus grid sweeps.  Thread ``i``
+#: starts with ``Compute(stagger[i % len(stagger)])``, so each stagger
+#: shifts the threads' relative start and thus the interleaving.
+LITMUS_STAGGERS: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 60), (60, 1), (200, 7))
+#: The trimmed grid of quick (CI smoke) runs and campaign shorthands.
+QUICK_LITMUS_STAGGERS: Tuple[Tuple[int, int], ...] = ((1, 1), (60, 1))
 
 
 def litmus_spec(
