@@ -1,22 +1,37 @@
 """Sweep runner: (configuration, application) grids with memoization.
 
-One :class:`SweepRunner` caches every simulation it runs, so a benchmark
-that needs RC numbers for normalization shares them across figures
-instead of re-simulating.  With ``jobs > 1`` a grid sweep fans its
-uncached cells over a worker pool (see :mod:`repro.harness.parallel`);
-results merge in grid order, so the artifact is identical to a serial
-sweep's.
+Two things are shared, at two scopes:
+
+* **Workloads, per process.**  :func:`build_app_workload` serves each
+  generated application from a bounded in-process memo
+  (:func:`generate_app_workload`), so every cell, runner and artifact
+  that asks for the same ``(app, instructions, seed)`` on the same
+  machine geometry gets the same :class:`~repro.workloads.Workload`
+  object, and its compiled op streams with it.
+* **Results, per runner.**  One :class:`SweepRunner` caches every
+  simulation it runs, so artifacts that share a runner (Tables 3-4
+  after Fig 9 in ``examples/reproduce_paper.py``) read its cells
+  without re-simulating.  Results are *not* shared across runners:
+  ``figure10`` and ``figure11`` build their own runners and simulate
+  their cells again, including the ones another artifact already ran.
+
+With ``jobs > 1`` a grid sweep fans its uncached cells over a worker
+pool (see :mod:`repro.harness.parallel`); results merge in grid order,
+so the artifact is identical to a serial sweep's.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.parallel import CellFailure, parallel_map
 from repro.params import NAMED_CONFIGS, SystemConfig
 from repro.system import RunResult, run_workload
-from repro.workloads.commercial import COMMERCIAL_ORDER, commercial_workload
-from repro.workloads.splash2 import SPLASH2_ORDER, splash2_workload
+from repro.workloads.commercial import COMMERCIAL_ORDER, COMMERCIAL_PROFILES
+from repro.workloads.program import Workload
+from repro.workloads.splash2 import SPLASH2_ORDER, SPLASH2_PROFILES
+from repro.workloads.synthetic import generate_profile_workload
 
 SPLASH2_APPS: Tuple[str, ...] = tuple(SPLASH2_ORDER)
 COMMERCIAL_APPS: Tuple[str, ...] = tuple(COMMERCIAL_ORDER)
@@ -45,11 +60,52 @@ def memo_key(
     return (config_name, app, int(instructions), int(seed), bool(record_history))
 
 
-def build_app_workload(app: str, config: SystemConfig, instructions: int, seed: int):
-    """Build the synthetic workload standing in for ``app``."""
-    if app in COMMERCIAL_APPS:
-        return commercial_workload(app, config, instructions, seed)
-    return splash2_workload(app, config, instructions, seed)
+def build_app_workload(
+    app: str, config: SystemConfig, instructions: int, seed: int
+) -> Workload:
+    """The synthetic workload standing in for ``app`` on ``config``'s machine.
+
+    The workload is shared: every call with the same app, instruction
+    budget, seed, processor count, line size and directory count
+    returns the same object (see :func:`generate_app_workload`).  Do not
+    mutate it or allocate into its address space; copy
+    ``list(workload.programs)`` to edit the thread list.
+    """
+    return generate_app_workload(
+        app,
+        config.num_processors,
+        config.memory.words_per_line,
+        config.num_directories,
+        int(instructions),
+        int(seed),
+    )
+
+
+@functools.lru_cache(maxsize=len(ALL_APPS))
+def generate_app_workload(
+    app: str,
+    threads: int,
+    words_per_line: int,
+    num_directories: int,
+    instructions: int,
+    seed: int,
+    /,
+) -> Workload:
+    """Generate ``app``'s workload, memoized per process on these arguments.
+
+    The arguments are everything the generator reads, so they are the
+    memo key; a generator change that reads another config field has to
+    add it here.  The memo is an LRU of ``len(ALL_APPS)`` entries: a
+    config-major sweep over every app (Figs 10 and 11) still hits.
+    Sharing is safe because the result is a pure function of the key
+    and runs only read it (see :func:`build_app_workload`).
+    """
+    profile = SPLASH2_PROFILES.get(app) or COMMERCIAL_PROFILES.get(app)
+    if profile is None:
+        raise KeyError(f"unknown application {app!r}; choose from {list(ALL_APPS)}")
+    return generate_profile_workload(
+        profile, threads, words_per_line, num_directories, instructions, seed
+    )
 
 
 class SweepRunner:

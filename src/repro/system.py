@@ -15,7 +15,7 @@ tests, and benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.coherence.dirbdm import DirBDM
 from repro.coherence.protocol import AccessOutcome, CoherenceController
@@ -90,7 +90,7 @@ class Machine:
     def __init__(
         self,
         config: SystemConfig,
-        programs: List[ThreadProgram],
+        programs: Sequence[ThreadProgram],
         address_space: AddressSpace,
         record_history: bool = True,
         fault_injector: Optional[FaultInjector] = None,
@@ -481,7 +481,7 @@ class Machine:
 
 def run_workload(
     config: SystemConfig,
-    programs: List[ThreadProgram],
+    programs: Sequence[ThreadProgram],
     address_space: AddressSpace,
     record_history: bool = True,
     max_cycles: Optional[float] = None,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.isa import (
     Barrier,
@@ -105,7 +105,7 @@ class ProgramBuilder:
         return len(self._ops)
 
 
-def validate_barriers(programs: List[ThreadProgram]) -> None:
+def validate_barriers(programs: Sequence[ThreadProgram]) -> None:
     """Reject barrier declarations that would hang the simulation.
 
     A :class:`~repro.cpu.isa.Barrier` rendezvous only releases when
@@ -180,14 +180,21 @@ class Workload:
     (:func:`validate_barriers`): a workload that would deadlock at a
     rendezvous raises :class:`~repro.errors.ProgramError` here instead
     of hanging the simulation.
+
+    ``programs`` is stored as a tuple.  A workload from
+    :func:`repro.harness.runner.build_app_workload` is shared by every
+    caller in the process: do not mutate it, and do not allocate into
+    its address space.  To change the thread list, copy it with
+    ``list(workload.programs)``.
     """
 
     name: str
-    programs: List[ThreadProgram]
+    programs: Tuple[ThreadProgram, ...]
     address_space: AddressSpace
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.programs = tuple(self.programs)
         validate_barriers(self.programs)
 
     @property

@@ -282,13 +282,35 @@ def build_profile_workload(
     seed: int = 0,
 ) -> Workload:
     """Generate a full workload from an application profile."""
-    profile.validate()
-    threads = num_threads if num_threads is not None else config.num_processors
-    space = AddressSpace(
-        AddressMap(config.memory.words_per_line, config.num_directories),
-        scatter_seed=seed,
+    return generate_profile_workload(
+        profile,
+        num_threads if num_threads is not None else config.num_processors,
+        config.memory.words_per_line,
+        config.num_directories,
+        instructions_per_thread,
+        seed,
     )
-    wpl = space.map.words_per_line
+
+
+def generate_profile_workload(
+    profile: AppProfile,
+    threads: int,
+    words_per_line: int,
+    num_directories: int,
+    instructions_per_thread: int,
+    seed: int,
+) -> Workload:
+    """:func:`build_profile_workload` on exactly the inputs it reads.
+
+    The output is a pure function of these arguments: the generator
+    forks its own ``DeterministicRng(seed)`` and never sees a
+    :class:`~repro.params.SystemConfig`.
+    """
+    profile.validate()
+    space = AddressSpace(
+        AddressMap(words_per_line, num_directories), scatter_seed=seed
+    )
+    wpl = words_per_line
     space.allocate_scattered("hot_set", profile.hot_lines * wpl)
     if profile.pattern is SharingPattern.SCATTER:
         space.allocate_scattered(

@@ -61,3 +61,45 @@ def test_figure11_structure():
     assert sum(rc.values()) == pytest.approx(1.0)
     assert breakdowns["B"]["lu"]["WrSig"] > 0
     assert "traffic" in report
+
+
+def _artifacts(apps, instructions):
+    runner = SweepRunner(instructions_per_thread=instructions)
+    return {
+        "figure9": figure9(runner, apps=apps)[0],
+        "table3": table3(runner, apps=apps)[0],
+        "table4": table4(runner, apps=apps)[0],
+        "figure10": figure10(instructions=instructions, apps=apps)[0],
+        "figure11": figure11(instructions=instructions, apps=apps)[0],
+    }
+
+
+def test_artifacts_generate_each_workload_once(monkeypatch):
+    """Every config and artifact shares one generated workload per app."""
+    from repro.harness import runner as runner_module
+
+    builds = []
+    generate = runner_module.generate_profile_workload
+
+    def counted(profile, *args):
+        builds.append(profile.name)
+        return generate(profile, *args)
+
+    monkeypatch.setattr(runner_module, "generate_profile_workload", counted)
+    runner_module.generate_app_workload.cache_clear()
+    shared = _artifacts(APPS, 1000)
+    assert sorted(builds) == sorted(APPS)
+
+    # The reference rebuilds the workload for every simulated cell.
+    del builds[:]
+    build = runner_module.build_app_workload
+
+    def fresh(*args):
+        runner_module.generate_app_workload.cache_clear()
+        return build(*args)
+
+    monkeypatch.setattr(runner_module, "build_app_workload", fresh)
+    assert _artifacts(APPS, 1000) == shared
+    # 16 simulated cells per app: 7 in Fig 9 (Tables 3-4 hit its runner's
+    # cache), 5 in Fig 10 and 4 in Fig 11.
+    assert len(builds) == 16 * len(APPS)

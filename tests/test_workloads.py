@@ -1,10 +1,21 @@
 """Tests for workload generation: builder, profiles, generators."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cpu.isa import Barrier, Compute, Load, LockAcquire, LockRelease, OpKind, Store
 from repro.errors import ConfigError
-from repro.params import paper_config
+from repro.harness.runner import ALL_APPS, build_app_workload, generate_app_workload
+from repro.params import (
+    bsc_dypvt,
+    bsc_exact,
+    bsc_stpvt,
+    paper_config,
+    rc_config,
+    sc_config,
+)
+from repro.system import run_workload
 from repro.workloads import (
     COMMERCIAL_PROFILES,
     SPLASH2_PROFILES,
@@ -202,3 +213,95 @@ class TestIdiomWorkloads:
         ]
         lines = {op.addr // 8 for op in stores}
         assert len(lines) == 1  # 4 threads, 8 words/line
+
+
+def _with_line_bytes(config, line_bytes):
+    memory = replace(
+        config.memory,
+        l1=replace(config.memory.l1, line_bytes=line_bytes),
+        l2=replace(config.memory.l2, line_bytes=line_bytes),
+    )
+    return replace(config, memory=memory).validate()
+
+
+def _snapshot(workload):
+    """Everything a run could disturb in a workload, as plain values."""
+    return (
+        workload.name,
+        [(program.name, list(program)) for program in workload.programs],
+        workload.address_space.regions(),
+        workload.address_space.highest_word,
+        workload.total_instructions,
+        dict(workload.metadata),
+    )
+
+
+class TestAppWorkloadMemo:
+    """``build_app_workload`` shares one workload per generator input."""
+
+    APP, INSTRUCTIONS, SEED = "ocean", 1500, 3
+
+    def build(self, config, instructions=INSTRUCTIONS, seed=SEED):
+        return build_app_workload(self.APP, config, instructions, seed)
+
+    def test_configs_share_one_workload(self):
+        shared = self.build(sc_config(seed=self.SEED))
+        for config in (
+            rc_config(seed=self.SEED),
+            bsc_dypvt(seed=self.SEED),
+            bsc_exact(seed=self.SEED),
+            bsc_dypvt(seed=self.SEED).with_bulksc(chunk_size_instructions=500),
+        ):
+            assert self.build(config) is shared
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda t, c: t.build(c, seed=t.SEED + 1),
+            lambda t, c: t.build(c, instructions=t.INSTRUCTIONS + 1000),
+            lambda t, c: t.build(replace(c, num_processors=4).validate()),
+            lambda t, c: t.build(_with_line_bytes(c, 64)),
+            lambda t, c: t.build(replace(c, num_directories=2).validate()),
+        ],
+        ids=["seed", "instructions", "num_processors", "words_per_line", "num_directories"],
+    )
+    def test_generator_inputs_change_the_workload(self, change):
+        config = bsc_dypvt(seed=self.SEED)
+        assert change(self, config) is not self.build(config)
+
+    def test_generator_arguments_are_the_key(self):
+        config = paper_config()
+        assert build_app_workload("fft", config, 1000, 0) is generate_app_workload(
+            "fft",
+            config.num_processors,
+            config.memory.words_per_line,
+            config.num_directories,
+            1000,
+            0,
+        )
+
+    @pytest.mark.parametrize("app", ALL_APPS)
+    def test_memoized_equals_fresh_build(self, app):
+        config = paper_config()
+        memoized = build_app_workload(app, config, 1000, 0)
+        profiles = COMMERCIAL_PROFILES if app in COMMERCIAL_PROFILES else SPLASH2_PROFILES
+        fresh = build_profile_workload(
+            profiles[app], config, instructions_per_thread=1000, seed=0
+        )
+        assert fresh is not memoized
+        assert _snapshot(memoized) == _snapshot(fresh)
+
+    def test_programs_are_a_tuple(self):
+        workload = self.build(paper_config())
+        assert isinstance(workload.programs, tuple)
+
+    @pytest.mark.parametrize("config_fn", [sc_config, bsc_dypvt, bsc_stpvt])
+    def test_run_leaves_shared_workload_unchanged(self, config_fn):
+        config = config_fn(seed=self.SEED)
+        workload = self.build(config)
+        before = _snapshot(workload)
+        run_workload(
+            config, workload.programs, workload.address_space, record_history=False
+        )
+        assert _snapshot(workload) == before
+        assert self.build(config) is workload
