@@ -308,6 +308,8 @@ class CommitEngine:
                 self.stats.bump("commit.g_arbiter_transactions")
         else:
             decision = self.machine.arbiter.decide(chunk.proc, chunk.w_sig, r_sig, now)
+        if self.machine.subscribers:
+            self.machine.publish("arb.decide", chunk.proc, decision)
         if decision.needs_r_signature:
             # RSig protocol: fetch R and re-decide.
             self._send_request(txn, now, include_r=True)
@@ -379,6 +381,8 @@ class CommitEngine:
         chunk = txn.chunk
         now = self.sim.now
         machine = self.machine
+        if machine.subscribers:
+            machine.publish("commit.serialize", chunk.proc, txn)
         machine.memory.write_many(chunk.commit_updates())
         history = machine.history
         if history.enabled:
@@ -463,6 +467,11 @@ class CommitEngine:
             outcome = dirbdm.expand_commit(
                 chunk.w_sig, chunk.proc, chunk.true_written_lines
             )
+            if machine.subscribers:
+                machine.publish(
+                    "dir.expand", None, dir_index, chunk, chunk.true_written_lines,
+                    outcome,
+                )
             dirbdm.disable_reads(txn.commit_id, chunk.w_sig)
             invalidation_procs |= outcome.invalidation_list
             lookups += outcome.lookups
@@ -545,10 +554,11 @@ class CommitEngine:
         return dirs or [0]
 
     def _expand_wpriv(self, chunk: Chunk) -> None:
+        machine = self.machine
         proc_node = Network.proc(chunk.proc)
         home_dirs = sorted(
             {
-                self.machine.coherence.address_map.directory_of(line)
+                machine.coherence.address_map.directory_of(line)
                 for line in chunk.true_private_lines
             }
         ) or [0]
@@ -559,9 +569,14 @@ class CommitEngine:
                 TrafficClass.WR_SIG,
                 compressed_size_bytes(chunk.wpriv_sig),
             )
-            self.machine.dirbdms[dir_index].expand_commit(
+            outcome = machine.dirbdms[dir_index].expand_commit(
                 chunk.wpriv_sig, chunk.proc, chunk.true_private_lines
             )
+            if machine.subscribers:
+                machine.publish(
+                    "dir.expand", None, dir_index, chunk, chunk.true_private_lines,
+                    outcome,
+                )
         self.stats.bump("commit.wpriv_expansions")
 
     def _finish(self, txn: CommitTransaction) -> None:
@@ -808,4 +823,6 @@ class CommitEngine:
             self.stats.bump("commit.duplicate_invalidations")
             return
         txn.pending_invalidations.discard(proc)
+        if self.machine.subscribers:
+            self.machine.publish("inv.deliver", proc, txn)
         self.machine.deliver_commit_to_proc(proc, txn.chunk, self.sim.now)

@@ -189,8 +189,18 @@ class BulkSCDriver(ProcessorDriver):
         if not chain:
             return False
         self.stats.bump(f"proc{self.proc}.spurious_squashes")
-        self._squash_from(min(chain, key=lambda c: c.chunk_id), now)
+        self.squash_from(min(chain, key=lambda c: c.chunk_id), now)
         return True
+
+    def diagnostic_line(self) -> str:
+        line = super().diagnostic_line()
+        if self._block_reason:
+            line += f" ({self._block_reason})"
+        return line + (
+            f" commits={self.chunk_commits} squashes={self.chunk_squashes}"
+            f" fifo={len(self._commit_fifo)}"
+            f" arbitrating={self._arbitrating is not None}"
+        )
 
     # ==================================================================
     # Chunk lifecycle
@@ -220,6 +230,8 @@ class BulkSCDriver(ProcessorDriver):
         self._current = chunk
         if self.policy.wants_prearbitration and not self._holding_reservation:
             self._prearbitrate()
+        if self.machine.subscribers:
+            self.machine.publish("chunk.start", self.proc, chunk)
         return True
 
     def _prearbitrate(self) -> None:
@@ -253,6 +265,8 @@ class BulkSCDriver(ProcessorDriver):
         self._current = None
         self._commit_fifo.append(chunk)
         self._try_submit_head()
+        if self.machine.subscribers:
+            self.machine.publish("chunk.close", self.proc, chunk, reason)
 
     def _try_submit_head(self) -> None:
         """Commit requests must be issued in strict per-processor order."""
@@ -275,6 +289,8 @@ class BulkSCDriver(ProcessorDriver):
             return
 
     def _on_chunk_granted(self, chunk: Chunk) -> None:
+        if self.machine.subscribers:
+            self.machine.publish("chunk.grant", self.proc, chunk)
         if self._arbitrating is chunk:
             self._arbitrating = None
         if self._holding_reservation:
@@ -288,6 +304,8 @@ class BulkSCDriver(ProcessorDriver):
         self._try_submit_head()
 
     def _on_chunk_committed(self, chunk: Chunk) -> None:
+        if self.machine.subscribers:
+            self.machine.publish("chunk.commit", self.proc, chunk)
         self.bdm.deregister_chunk(chunk)
         self.policy.note_commit()
         self.chunk_commits += 1
@@ -346,7 +364,7 @@ class BulkSCDriver(ProcessorDriver):
             colliding = [c for c in self.bdm.active_chunks() if c.is_active]
         if colliding:
             oldest = min(colliding, key=lambda c: c.chunk_id)
-            self._squash_from(oldest, now)
+            self.squash_from(oldest, now)
         if on_invalidation_list:
             # Bulk-invalidate the stale copies named by W, squash or not.
             __, unnecessary = self.bdm.bulk_invalidate(
@@ -356,7 +374,7 @@ class BulkSCDriver(ProcessorDriver):
                 f"proc{self.proc}.extra_cache_invalidations", unnecessary
             )
 
-    def _squash_from(self, oldest: Chunk, now: float) -> None:
+    def squash_from(self, oldest: Chunk, now: float) -> None:
         """Squash ``oldest`` and every younger local chunk, then replay."""
         chain = [
             c
@@ -365,6 +383,9 @@ class BulkSCDriver(ProcessorDriver):
         ]
         if not chain:
             return
+        if self.machine.subscribers:
+            for chunk in chain:
+                self.machine.publish("chunk.squash", self.proc, chunk)
         chain.sort(key=lambda c: c.chunk_id)
         for chunk in reversed(chain):
             self.squashed_instructions += chunk.instructions

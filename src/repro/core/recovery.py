@@ -35,10 +35,12 @@ A recovery watchdog (``resilience.recovery_watchdog_cycles``) turns a
 wedged recovery into a diagnosable
 :class:`~repro.errors.RecoveryError` instead of a livelock.
 
-Every phase transition is emitted to :attr:`observers` as a
+Every phase transition is published on the machine's chunk-lifecycle
+event stream (:meth:`repro.system.Machine.subscribe`) as an
+``arb.crash`` / ``arb.reconstruct`` / ``arb.recovered`` event carrying a
 :class:`RecoveryEvent` — the replay recorder turns these into schema-v2
-``arb.crash`` / ``arb.reconstruct`` / ``arb.recovered`` trace records so
-a crashed run replays to the identical recovery schedule.
+trace records so a crashed run replays to the identical recovery
+schedule.
 
 The G-arbiter is special: its W cache is pure acceleration state, so its
 "recovery" is instantaneous — crash and recovered are emitted in the
@@ -48,7 +50,7 @@ same cycle and no reconstruct phase runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.arbiter import Arbiter, ArbiterMode
 from repro.core.commit import TxnPhase
@@ -80,7 +82,6 @@ class ArbiterRecoveryManager:
         self.machine = machine
         self.stats = machine.stats
         self.resilience = machine.config.bulksc.resilience
-        self.observers: List[Callable[[RecoveryEvent], None]] = []
         self._distributed = isinstance(machine.arbiter, DistributedArbiter)
         self._crash_time: Dict[str, float] = {}
         self._reconstruct_time: Dict[str, float] = {}
@@ -235,5 +236,5 @@ class ArbiterRecoveryManager:
 
     # ------------------------------------------------------------------
     def _emit(self, event: RecoveryEvent) -> None:
-        for observer in self.observers:
-            observer(event)
+        if self.machine.subscribers:
+            self.machine.publish(event.kind, None, event)

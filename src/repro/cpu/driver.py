@@ -157,6 +157,10 @@ class ProcessorDriver(ABC):
         """
         return True
 
+    def diagnostic_line(self) -> str:
+        """This driver's line in the livelock diagnostic dump."""
+        return f"proc{self.proc}: {self.state.value}"
+
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:

@@ -25,7 +25,10 @@ mechanism behind trace minimization and minimized-trace replay in
 
 Every injected fault is appended to :attr:`trace` as a
 :class:`FaultRecord`; resilience errors carry this trace so a failing
-chaos run names exactly what was done to it.
+chaos run names exactly what was done to it.  Each record is also
+published as a ``fault`` event on the owning machine's chunk-lifecycle
+event stream (:meth:`repro.system.Machine.subscribe`), which is how the
+replay recorder sees it.
 """
 
 from __future__ import annotations
@@ -91,6 +94,20 @@ class FaultRecord:
             return self.kind
         return "deliver"
 
+    def trace_data(self) -> Dict[str, object]:
+        """The ``data`` of this fault's replay-trace ``fault`` record."""
+        return {
+            "fault": self.fault,
+            "kind": self.kind,
+            "channel": self.channel,
+            "seq": self.seq,
+            "point": self.point,
+            "label": self.label,
+            "detail": self.detail,
+            "extra": self.extra,
+            "victims": list(self.victims),
+        }
+
     def render(self) -> str:
         where = f"@{self.point}" if self.point else ""
         detail = f" ({self.detail})" if self.detail else ""
@@ -122,9 +139,10 @@ class FaultInjector:
         self.deliver_seq = 0
         self.storm_seq = 0
         self.squash_seq = 0
-        #: Callbacks invoked with every FaultRecord as it is created
-        #: (before the trace cap applies); used by the replay recorder.
-        self.observers: List[Callable[[FaultRecord], None]] = []
+        #: The owning machine's event-stream subscribers (set by
+        #: :class:`~repro.system.Machine`): every FaultRecord is published
+        #: to them as a ``fault`` event, before the trace cap applies.
+        self.subscribers: List[Callable[..., None]] = []
         self._message_specs: List[FaultSpec] = [
             s for s in self.plan.specs if s.kind in MESSAGE_KINDS
         ]
@@ -158,9 +176,6 @@ class FaultInjector:
 
     def bind(self, sim: Simulator) -> None:
         self.sim = sim
-
-    def add_observer(self, observer: Callable[[FaultRecord], None]) -> None:
-        self.observers.append(observer)
 
     # ------------------------------------------------------------------
     # Message-leg injection
@@ -332,8 +347,8 @@ class FaultInjector:
             now, fault, point.value if point else None, label, detail,
             kind=kind or fault, seq=seq, extra=extra, victims=victims,
         )
-        for observer in self.observers:
-            observer(record)
+        for subscriber in self.subscribers:
+            subscriber("fault", None, record)
         if len(self.trace) >= _TRACE_CAP:
             self._trace_overflow += 1
             return

@@ -1,14 +1,16 @@
 """The trace recorder: observe a run, emit a reconstructible trace.
 
-The recorder uses the same wrapping pattern as
-:class:`~repro.tools.chunk_trace.ChunkTracer` — callbacks are wrapped,
-never replaced with different behaviour — so attaching it cannot change
-a simulation's outcome (the tools tests assert this bit-for-bit).  It
-hooks:
+:class:`TraceRecorder` subscribes to the machine's chunk-lifecycle event
+stream (:meth:`repro.system.Machine.subscribe`) and turns each event into
+one versioned :class:`~repro.replay.schema.TraceRecord`.  Subscribers
+only read the live objects they are handed, so attaching a recorder
+cannot change a simulation's outcome (the tools tests assert this
+bit-for-bit).  It records:
 
 * the chunk lifecycle on every BulkSC driver (start/close/grant/commit/
-  squash) via :func:`wrap_chunk_events`, shared with ``ChunkTracer``;
-* the arbiter's ``decide`` (one record per request: grant/deny/need-R);
+  squash), in the shape :func:`chunk_record_data` shares with
+  :class:`~repro.tools.chunk_trace.ChunkTracer`;
+* every arbiter decision (one record per request: grant/deny/need-R);
 * the commit engine's serialization instant (the chunk's position in
   the SC total order), enriched with the grant epoch, the chunk's op
   list, and its true line footprints — the interface events the
@@ -17,7 +19,7 @@ hooks:
 * invalidation delivery to each victim processor, enriched with the
   independently recomputed signature-conflict and true-conflict sets
   (ground truth for the BDM disambiguation contract);
-* every injected fault, via the injector's observer hook.
+* every injected fault and every arbiter crash-recovery transition.
 
 :func:`record_run` is the one-call entry point: build the machine from
 pure data (a workload spec + config name + fault metadata), run it with
@@ -29,12 +31,11 @@ a recorder attached, and return the finished
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.faults.injector import (
     FaultInjector,
-    FaultRecord,
     ScriptedFault,
     ScriptedFaultInjector,
 )
@@ -52,73 +53,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_MAX_EVENTS = 2_000_000
 
 
-def wrap_chunk_events(
-    machine: "Machine",
-    callback: Callable[[int, object, str, str], None],
-) -> None:
-    """Instrument every BulkSC driver's chunk lifecycle.
+def chunk_record_data(ev: str, chunk, detail: str = "") -> Dict[str, object]:
+    """The ``data`` of a ``chunk.*`` trace record.
 
-    ``callback(proc, chunk, event, detail)`` fires on start/close/grant/
-    commit/squash.  Wrapping is behaviour-preserving: originals run
-    unchanged.  Shared by :class:`TraceRecorder` and
-    :class:`~repro.tools.chunk_trace.ChunkTracer`.
+    ``detail`` is the close reason for ``chunk.close``.  Shared by
+    :class:`TraceRecorder` and :class:`~repro.tools.chunk_trace.ChunkTracer`,
+    so both render one chunk transition identically.
     """
-    from repro.core.driver import BulkSCDriver
-
-    for driver in machine.drivers:
-        if isinstance(driver, BulkSCDriver):
-            _wrap_one_driver(driver, callback)
-
-
-def _wrap_one_driver(driver, callback) -> None:
-    original_ensure = driver._ensure_chunk
-
-    def traced_ensure():
-        had = driver._current is not None
-        ok = original_ensure()
-        if ok and not had and driver._current is not None:
-            callback(driver.proc, driver._current, "start", "")
-        return ok
-
-    driver._ensure_chunk = traced_ensure
-
-    original_close = driver._close_current
-
-    def traced_close(reason):
-        chunk = driver._current
-        original_close(reason)
-        if chunk is not None and not chunk.is_empty:
-            callback(driver.proc, chunk, "close", reason)
-
-    driver._close_current = traced_close
-
-    original_granted = driver._on_chunk_granted
-
-    def traced_granted(chunk):
-        callback(driver.proc, chunk, "grant", "")
-        original_granted(chunk)
-
-    driver._on_chunk_granted = traced_granted
-
-    original_committed = driver._on_chunk_committed
-
-    def traced_committed(chunk):
-        callback(driver.proc, chunk, "commit", f"{chunk.instructions} instr")
-        original_committed(chunk)
-
-    driver._on_chunk_committed = traced_committed
-
-    original_squash = driver._squash_from
-
-    def traced_squash(oldest, now):
-        for chunk in driver.bdm.active_chunks():
-            if chunk.is_active and chunk.chunk_id >= oldest.chunk_id:
-                callback(
-                    driver.proc, chunk, "squash", f"{chunk.instructions} instr lost"
-                )
-        original_squash(oldest, now)
-
-    driver._squash_from = traced_squash
+    if ev == "chunk.commit":
+        detail = f"{chunk.instructions} instr"
+    elif ev == "chunk.squash":
+        detail = f"{chunk.instructions} instr lost"
+    data: Dict[str, object] = {"chunk": chunk.chunk_id}
+    if detail:
+        data["detail"] = detail
+    return data
 
 
 class TraceRecorder:
@@ -134,46 +83,39 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, machine: "Machine", header: dict) -> "TraceRecorder":
-        """Instrument a (not yet run) machine."""
+        """Subscribe a recorder to a (not yet run) machine's event stream."""
         recorder = cls(machine, header)
-        wrap_chunk_events(machine, recorder._on_chunk_event)
-        if machine.arbiter is not None:
-            recorder._wrap_arbiter(machine.arbiter)
-        if machine.commit_engine is not None:
-            recorder._wrap_commit_engine(machine.commit_engine)
-        recorder._wrap_invalidation_delivery()
-        recorder._wrap_directory_expansion()
-        machine.fault_injector.add_observer(recorder._on_fault)
-        if getattr(machine, "recovery", None) is not None:
-            machine.recovery.observers.append(recorder._on_recovery)
+        machine.subscribe(recorder.on_event)
         return recorder
 
-    def _wrap_arbiter(self, arbiter) -> None:
-        recorder = self
-        original_decide = arbiter.decide
-
-        def traced_decide(proc, *args, **kwargs):
-            decision = original_decide(proc, *args, **kwargs)
+    def on_event(self, ev: str, p: Optional[int], *payload) -> None:
+        """Turn one event-stream event into one trace record."""
+        if ev.startswith("chunk."):
+            data = chunk_record_data(ev, *payload)
+            if ev == "chunk.grant":
+                # The lease is renewed across arbiter crashes before the
+                # grant is (re-)accepted, so an accepted grant always
+                # shows the live epoch — the recovery contract's
+                # dead-epoch clause audits exactly this field.
+                lease = self._lease_for(payload[0])
+                if lease is not None:
+                    data["epoch"] = lease
+            self._record(ev, p, data)
+        elif ev == "arb.decide":
+            (decision,) = payload
             if decision.needs_r_signature:
-                ev = "arb.need_r"
+                kind = "arb.need_r"
             elif decision.granted:
-                ev = "arb.grant"
+                kind = "arb.grant"
             else:
-                ev = "arb.deny"
-            recorder._record(ev, proc, {"reason": decision.reason})
-            return decision
-
-        arbiter.decide = traced_decide
-
-    def _wrap_commit_engine(self, engine) -> None:
-        recorder = self
-        original_serialize = engine._serialize
-
-        def traced_serialize(txn):
+                kind = "arb.deny"
+            self._record(kind, p, {"reason": decision.reason})
+        elif ev == "commit.serialize":
+            (txn,) = payload
             chunk = txn.chunk
-            recorder._record(
-                "commit.serialize",
-                chunk.proc,
+            self._record(
+                ev,
+                p,
                 {
                     "chunk": chunk.chunk_id,
                     "commit": txn.commit_id,
@@ -193,130 +135,68 @@ class TraceRecorder:
                     "r_lines": sorted(chunk.true_read_lines),
                 },
             )
-            original_serialize(txn)
-
-        engine._serialize = traced_serialize
-
-    def _commit_id_for(self, chunk) -> Optional[int]:
-        engine = self.machine.commit_engine
-        if engine is None:
-            return None
-        for txn in engine.inflight_transactions():
-            if txn.chunk is chunk:
-                return txn.commit_id
-        return None
-
-    def _lease_for(self, chunk) -> Optional[list]:
-        engine = self.machine.commit_engine
-        if engine is None:
-            return None
-        for txn in engine.inflight_transactions():
-            if txn.chunk is chunk and txn.lease:
-                return list(txn.lease)
-        return None
-
-    def _wrap_invalidation_delivery(self) -> None:
-        recorder = self
-        machine = self.machine
-        original_deliver = machine.deliver_commit_to_proc
-
-        def traced_deliver(proc, chunk, now):
-            # Recompute both conflict sets *independently* of the BDM the
-            # delivery is about to run: the signature predicate straight
-            # from the victim's active chunks, and the ground-truth line
-            # intersection.  A BDM that under-reports (or a filter that
-            # hides a true conflict) is then visible in the trace itself.
-            from repro.signatures.ops import collides_fast
-
-            sig_conflicts = []
-            true_conflicts = []
-            for local in machine.bdms[proc].active_chunks():
-                if not local.is_active:
-                    continue
-                if collides_fast(chunk.w_sig, local.r_sig, local.w_sig):
-                    sig_conflicts.append(local.chunk_id)
-                touched = local.true_read_lines | local.true_written_lines
-                if touched & chunk.true_written_lines:
-                    true_conflicts.append(local.chunk_id)
-            recorder._record(
-                "inv.deliver",
-                proc,
-                {
-                    "chunk": chunk.chunk_id,
-                    "committer": chunk.proc,
-                    "commit": recorder._commit_id_for(chunk),
-                    "w_lines": sorted(chunk.true_written_lines),
-                    "sig_conflicts": sorted(sig_conflicts),
-                    "true_conflicts": sorted(true_conflicts),
-                },
-            )
-            original_deliver(proc, chunk, now)
-
-        machine.deliver_commit_to_proc = traced_deliver
-
-    def _wrap_directory_expansion(self) -> None:
-        for index, dirbdm in enumerate(self.machine.dirbdms):
-            self._wrap_one_dirbdm(index, dirbdm)
-
-    def _wrap_one_dirbdm(self, index: int, dirbdm) -> None:
-        recorder = self
-        original_expand = dirbdm.expand_commit
-
-        def traced_expand(w_signature, committing_proc, true_written_lines):
-            outcome = original_expand(
-                w_signature, committing_proc, true_written_lines
-            )
-            recorder._record(
-                "dir.expand",
+        elif ev == "inv.deliver":
+            (txn,) = payload
+            self._on_deliver(p, txn)
+        elif ev == "dir.expand":
+            index, chunk, lines, outcome = payload
+            self._record(
+                ev,
                 None,
                 {
                     "dir": index,
-                    "committer": committing_proc,
-                    "lines": sorted(true_written_lines),
+                    "committer": chunk.proc,
+                    "lines": sorted(lines),
                     "invalidation_list": sorted(outcome.invalidation_list),
                     "lookups": outcome.lookups,
                 },
             )
-            return outcome
+        elif ev == "fault":
+            (record,) = payload
+            self._record(ev, None, record.trace_data())
+        else:  # arb.crash / arb.reconstruct / arb.recovered
+            (event,) = payload
+            data: Dict[str, object] = {"target": event.target, "epoch": event.epoch}
+            data.update(event.data)
+            self._record(ev, None, data)
 
-        dirbdm.expand_commit = traced_expand
+    def _lease_for(self, chunk) -> Optional[list]:
+        for txn in self.machine.commit_engine.inflight_transactions():
+            if txn.chunk is chunk and txn.lease:
+                return list(txn.lease)
+        return None
 
-    # ------------------------------------------------------------------
-    def _on_chunk_event(self, proc: int, chunk, event: str, detail: str) -> None:
-        data: Dict[str, object] = {"chunk": chunk.chunk_id}
-        if detail:
-            data["detail"] = detail
-        if event == "grant":
-            # The lease is renewed across arbiter crashes before the
-            # grant is (re-)accepted, so an accepted grant always shows
-            # the live epoch — the recovery contract's dead-epoch clause
-            # audits exactly this field.
-            lease = self._lease_for(chunk)
-            if lease is not None:
-                data["epoch"] = lease
-        self._record(f"chunk.{event}", proc, data)
+    def _on_deliver(self, proc: int, txn) -> None:
+        # Recompute both conflict sets *independently* of the BDM the
+        # delivery is about to run: the signature predicate straight from
+        # the victim's active chunks, and the ground-truth line
+        # intersection.  A BDM that under-reports (or a filter that hides
+        # a true conflict) is then visible in the trace itself.
+        from repro.signatures.ops import collides_fast
 
-    def _on_fault(self, record: FaultRecord) -> None:
+        chunk = txn.chunk
+        sig_conflicts = []
+        true_conflicts = []
+        for local in self.machine.bdms[proc].active_chunks():
+            if not local.is_active:
+                continue
+            if collides_fast(chunk.w_sig, local.r_sig, local.w_sig):
+                sig_conflicts.append(local.chunk_id)
+            touched = local.true_read_lines | local.true_written_lines
+            if touched & chunk.true_written_lines:
+                true_conflicts.append(local.chunk_id)
         self._record(
-            "fault",
-            None,
+            "inv.deliver",
+            proc,
             {
-                "fault": record.fault,
-                "kind": record.kind,
-                "channel": record.channel,
-                "seq": record.seq,
-                "point": record.point,
-                "label": record.label,
-                "detail": record.detail,
-                "extra": record.extra,
-                "victims": list(record.victims),
+                "chunk": chunk.chunk_id,
+                "committer": chunk.proc,
+                "commit": txn.commit_id,
+                "w_lines": sorted(chunk.true_written_lines),
+                "sig_conflicts": sorted(sig_conflicts),
+                "true_conflicts": sorted(true_conflicts),
             },
         )
-
-    def _on_recovery(self, event) -> None:
-        data: Dict[str, object] = {"target": event.target, "epoch": event.epoch}
-        data.update(event.data)
-        self._record(event.kind, None, data)
 
     def _record(self, ev: str, p: Optional[int], data: Dict[str, object]) -> None:
         if len(self.records) >= MAX_RECORDS:

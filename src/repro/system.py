@@ -103,12 +103,15 @@ class Machine:
         self.config = config
         self.sim = Simulator(seed=config.seed)
         self.stats = self.sim.stats
+        #: The chunk-lifecycle event stream (see :meth:`subscribe`).
+        self.subscribers: List[Callable[..., None]] = []
         # Fault injection: an inactive injector is a pure passthrough, so
         # every machine carries one and hardened paths need no None checks.
         self.fault_injector = (
             fault_injector if fault_injector is not None else FaultInjector()
         )
         self.fault_injector.bind(self.sim)
+        self.fault_injector.subscribers = self.subscribers
         self.sim.add_diagnostic_provider(self._driver_diagnostics)
         self.memory = MainMemory()
         use_dir_cache = (
@@ -162,6 +165,37 @@ class Machine:
         """Record a completed uncached I/O operation."""
         self.io_log.append((time, proc, device, value))
         self.stats.bump("io.operations")
+
+    # ------------------------------------------------------------------
+    # Chunk-lifecycle event stream
+    # ------------------------------------------------------------------
+    def subscribe(self, subscriber: Callable[..., None]) -> None:
+        """Call ``subscriber(ev, p, *payload)`` on every protocol event.
+
+        ``p`` is the processor the event is about (``None`` for
+        directory, fault and recovery events); the payload is live
+        simulator objects, valid only during the call:
+
+        * ``chunk.start`` / ``chunk.grant`` / ``chunk.commit`` /
+          ``chunk.squash``: ``(chunk,)``; ``chunk.close``:
+          ``(chunk, reason)``;
+        * ``arb.decide``: ``(decision,)``;
+        * ``commit.serialize``: ``(txn,)``, before the memory image is
+          published; ``inv.deliver``: ``(txn,)``, before the victim
+          (``p``) disambiguates;
+        * ``dir.expand``: ``(dir_index, chunk, lines, outcome)``;
+        * ``fault``: ``(fault_record,)``;
+        * ``arb.crash`` / ``arb.reconstruct`` / ``arb.recovered``:
+          ``(recovery_event,)``.
+
+        Publishers skip all work while nothing subscribes.  Subscribers
+        observe only; they must not change simulator state.
+        """
+        self.subscribers.append(subscriber)
+
+    def publish(self, ev: str, p: Optional[int], *payload) -> None:
+        for subscriber in self.subscribers:
+            subscriber(ev, p, *payload)
 
     # ------------------------------------------------------------------
     # Construction
@@ -236,18 +270,7 @@ class Machine:
     def _driver_diagnostics(self) -> str:
         """Per-driver state for the livelock diagnostic dump."""
         lines = ["per-driver state:"]
-        for d in self.drivers:
-            desc = f"  proc{d.proc}: {d.state.value}"
-            reason = getattr(d, "_block_reason", None)
-            if reason:
-                desc += f" ({reason})"
-            if isinstance(d, BulkSCDriver):
-                desc += (
-                    f" commits={d.chunk_commits} squashes={d.chunk_squashes}"
-                    f" fifo={len(d._commit_fifo)}"
-                    f" arbitrating={d._arbitrating is not None}"
-                )
-            lines.append(desc)
+        lines.extend(f"  {d.diagnostic_line()}" for d in self.drivers)
         if self.fault_injector.active:
             lines.append(f"injected faults: {self.fault_injector.summary()}")
         if self.recovery is not None:
@@ -409,7 +432,7 @@ class Machine:
                 if colliding:
                     self.stats.bump("directory.displacement_squashes")
                     oldest = min(colliding, key=lambda c: c.chunk_id)
-                    driver._squash_from(oldest, now)
+                    driver.squash_from(oldest, now)
             # Invalidate (and write back if dirty) the cached copy.  A
             # dirty non-speculative copy safely reaches memory; the
             # committed image already holds its value.

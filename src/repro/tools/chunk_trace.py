@@ -9,11 +9,11 @@ and for understanding a workload's commit/squash pattern:
     machine.run()
     print(tracer.render())
 
-The tracer instruments the machine through
-:func:`repro.replay.recorder.wrap_chunk_events` — the same
-behaviour-preserving hook the replay recorder uses — and stores its
-observations as versioned :class:`~repro.replay.schema.TraceRecord`
-entries.  :class:`TraceEvent` remains as the human-facing *view* of one
+The tracer subscribes to the machine's chunk-lifecycle event stream
+(:meth:`repro.system.Machine.subscribe`), like the replay recorder, keeps
+its ``chunk.*`` events and stores them as versioned
+:class:`~repro.replay.schema.TraceRecord` entries in the shape
+:func:`repro.replay.recorder.chunk_record_data` shares with the recorder.  :class:`TraceEvent` remains as the human-facing *view* of one
 record; :meth:`ChunkTracer.as_trace` exports the whole stream as a
 schema-valid ``kind="view"`` trace for tooling.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
+from repro.replay.recorder import chunk_record_data
 from repro.replay.schema import (
     TRACE_VERSION,
     Trace,
@@ -75,24 +76,22 @@ class ChunkTracer:
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, machine: "Machine") -> "ChunkTracer":
-        """Instrument a (not yet run) BulkSC machine."""
-        from repro.replay.recorder import wrap_chunk_events
-
+        """Subscribe a tracer to a (not yet run) BulkSC machine."""
         tracer = cls(machine)
-        wrap_chunk_events(machine, tracer._on_chunk_event)
+        machine.subscribe(tracer.on_event)
         return tracer
 
-    def _on_chunk_event(self, proc: int, chunk, event: str, detail: str) -> None:
-        data = {"chunk": chunk.chunk_id}
-        if detail:
-            data["detail"] = detail
+    def on_event(self, ev: str, p: Optional[int], *payload) -> None:
+        """Keep the ``chunk.*`` events of the machine's event stream."""
+        if not ev.startswith("chunk."):
+            return
         self.records.append(
             TraceRecord(
                 seq=len(self.records) + 1,
                 t=self.machine.sim.now,
-                ev=f"chunk.{event}",
-                p=proc,
-                data=data,
+                ev=ev,
+                p=p,
+                data=chunk_record_data(ev, *payload),
             )
         )
 

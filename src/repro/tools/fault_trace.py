@@ -22,8 +22,8 @@ from repro.replay.schema import TraceRecord
 def fault_trace_records(trace: List[FaultRecord]) -> List[TraceRecord]:
     """Lift injector fault records into schema ``fault`` trace records.
 
-    The record shape matches what
-    :class:`~repro.replay.recorder.TraceRecorder` emits for the same
+    The ``data`` is :meth:`FaultRecord.trace_data`, the same builder
+    :class:`~repro.replay.recorder.TraceRecorder` uses for the same
     fault, so chaos payload consumers and replay-trace consumers parse
     one format.  (Stand-alone fault traces carry no simulated timestamp,
     so ``t`` is 0.)
@@ -34,17 +34,7 @@ def fault_trace_records(trace: List[FaultRecord]) -> List[TraceRecord]:
             t=0.0,
             ev="fault",
             p=None,
-            data={
-                "fault": record.fault,
-                "kind": record.kind,
-                "channel": record.channel,
-                "seq": record.seq,
-                "point": record.point,
-                "label": record.label,
-                "detail": record.detail,
-                "extra": record.extra,
-                "victims": list(record.victims),
-            },
+            data=record.trace_data(),
         )
         for i, record in enumerate(trace)
     ]

@@ -278,5 +278,14 @@ class TestLivelockDiagnostics:
 
     def test_machine_run_reports_driver_state(self):
         config, programs, space = _two_thread_workload()
-        with pytest.raises(LivelockError, match="per-driver state"):
+        with pytest.raises(LivelockError, match="per-driver state") as info:
             run_workload(config, programs, space, max_events=5)
+        dump = str(info.value)
+        assert (
+            "\n  proc0: running commits=0 squashes=0 fifo=0 arbitrating=False\n"
+            in dump
+        )
+        assert (
+            "\n  proc1: blocked (finish) commits=0 squashes=0 fifo=0"
+            " arbitrating=True\n" in dump
+        )

@@ -6,6 +6,7 @@ from repro.cpu.isa import Compute, Load, Store
 from repro.cpu.thread import ThreadProgram
 from repro.memory.address import AddressMap, AddressSpace
 from repro.params import bsc_dypvt, rc_config
+from repro.replay.recorder import TraceRecorder
 from repro.system import Machine, run_workload
 from repro.tools import ChunkTracer, summarize_run
 
@@ -58,6 +59,39 @@ class TestChunkTracer:
             machine.run()
             total += tracer.count("squash")
         assert total > 0
+
+    def test_shares_the_event_stream_with_a_recorder(self):
+        """Two subscribers on one machine see the same chunk lifecycle."""
+        programs = []
+        for proc in range(2):
+            ops = [Compute(3 + proc)]
+            for i in range(20):
+                ops += [Store(8, proc * 100 + i), Load("r", 8), Compute(10)]
+            programs.append(ops)
+        config = bsc_dypvt(seed=2).with_bulksc(chunk_size_instructions=50)
+
+        def run(with_recorder):
+            machine = make_machine(config, programs)
+            recorder = TraceRecorder.attach(machine, {}) if with_recorder else None
+            tracer = ChunkTracer.attach(machine)
+            machine.run()
+            return tracer, recorder
+
+        tracer, recorder = run(with_recorder=True)
+        alone, __ = run(with_recorder=False)
+        assert tracer.count("squash") > 0
+        assert tracer.records == alone.records
+
+        def recorder_view(record):
+            data = dict(record.data)
+            if record.ev == "chunk.grant":
+                # The recorder alone adds the grant's lease epoch.
+                assert data.pop("epoch") == [1]
+            return (record.ev, record.p, record.t, data)
+
+        assert [(r.ev, r.p, r.t, r.data) for r in tracer.records] == [
+            recorder_view(r) for r in recorder.records if r.ev.startswith("chunk.")
+        ]
 
     def test_chunk_lifetime_query(self):
         cfg = bsc_dypvt()
