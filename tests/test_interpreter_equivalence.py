@@ -58,8 +58,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run_digest(result) -> str:
-    """sha256 of the canonical JSON of everything a run determines."""
+def _run_digest(result, **extra) -> str:
+    """sha256 of the canonical JSON of everything a run determines.
+
+    ``extra`` adds caller-specific fields (an observed litmus outcome, a
+    history digest) to the fingerprint.
+    """
     machine = result.machine
     fingerprint = {
         "stats": result.stats,
@@ -69,6 +73,7 @@ def _run_digest(result) -> str:
         "rng_draws": machine.sim.rng.draws,
         "instructions": result.total_instructions,
         "memory": result.memory.nonzero_words(),
+        **extra,
     }
     canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
     return _sha256(canonical.encode("utf-8"))
