@@ -497,10 +497,10 @@ class BulkSCDriver(ProcessorDriver):
         thread = self.thread
         registers = thread.registers
         window = self.window
-        win_deque = window._window
+        win_deque = window.ring
         iwindow = window.config.instruction_window
-        per_instr = window._per_instruction
-        l1_rt = window._l1_round_trip
+        per_instr = window.per_instruction
+        l1_rt = window.l1_round_trip
         l1 = self._l1
         l1_sets, set_mask, assoc = l1._sets, l1._set_mask, l1.associativity
         l1_clock = l1._lru_clock
@@ -728,7 +728,7 @@ class BulkSCDriver(ProcessorDriver):
         thread.finished = pc >= self._stream.length
         window = self.window
         window.retire_cursor = cursor
-        window._window_instructions = win_instr
+        window.ring_instructions = win_instr
         self._l1.hits = l1_hits
         self.memory.reads = mem_reads
         if self._current is not None:
@@ -750,7 +750,7 @@ class BulkSCDriver(ProcessorDriver):
         chunk = self._current
         return (
             window.retire_cursor,
-            window._window_instructions,
+            window.ring_instructions,
             l1.hits,
             self.memory.reads,
             chunk,

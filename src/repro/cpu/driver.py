@@ -1,9 +1,9 @@
 """The abstract per-processor driver.
 
-A driver walks one thread's program, asking its consistency model (the
-concrete subclass) to execute each op.  The driver owns the event-loop
-mechanics — batching, blocking, wake-ups — so the model subclasses only
-implement op semantics.
+A driver walks one thread's program under its consistency model (the
+concrete subclass, which supplies the run loop).  The driver owns the
+event-loop mechanics — batching, blocking, wake-ups — so the model
+subclasses only implement op semantics.
 
 Execution is batched: one simulator event executes ops until the
 retirement cursor has advanced by ``batch_cycles`` (or the driver blocks
@@ -75,28 +75,18 @@ class ProcessorDriver(ABC):
         if self.state is DriverState.RUNNING:
             self._schedule_step(self.window.now)
 
+    @abstractmethod
     def _run_until(self, batch_end: float) -> None:
         """Execute ops until the cursor passes ``batch_end``, blocks, or ends.
 
-        One dispatch through :meth:`execute_op` per micro-op: the loop the
-        SC, RC and SC++ baselines run on.  BulkSC overrides it with its
-        op-stream loop (:meth:`repro.core.driver.BulkSCDriver._run_until`),
-        which calls :meth:`execute_op` only for sync ops.
+        Each model family runs its program's lowered op stream
+        (:mod:`repro.cpu.opstream`) in one loop:
+        :meth:`repro.consistency.base.BaselineDriver._run_until` for SC,
+        RC, SC++ and TSO, :meth:`repro.core.driver.BulkSCDriver._run_until`
+        for BulkSC.  Both hand sync ops to :meth:`execute_op`; on a block
+        they set ``state`` to ``BLOCKED`` and the model arranges a
+        :meth:`wake_retry` or :meth:`wake_advance`.
         """
-        while self.state is DriverState.RUNNING:
-            op = self.thread.current_op()
-            if op is None:
-                self._finish()
-                return
-            proceed = self.execute_op(op)
-            if not proceed:
-                # The model blocked on this op; it will call
-                # :meth:`wake_retry` or :meth:`wake_advance` later.
-                self.state = DriverState.BLOCKED
-                return
-            self.thread.advance()
-            if self.window.now >= batch_end:
-                break
 
     def _finish(self) -> None:
         if self.state is DriverState.FINISHED:
@@ -143,7 +133,7 @@ class ProcessorDriver(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def execute_op(self, op: Op) -> bool:
-        """Execute one op at the current retirement cursor.
+        """Execute one sync op (``K_SLOW``) at the current retirement cursor.
 
         Returns True to consume the op and continue, False to block on it
         (the model must arrange a later wake-up).

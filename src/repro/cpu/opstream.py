@@ -1,4 +1,4 @@
-"""Pre-compiled flat op-streams for the BulkSC run loop.
+"""Pre-compiled flat op-streams for the processor run loops.
 
 A :class:`~repro.cpu.thread.ThreadProgram` is immutable, so the per-op
 work a naive interpreter repeats on every execution — ``isinstance``
@@ -9,14 +9,18 @@ pre-split arguments (the same flattening the paper applies to memory
 accesses: per-item bookkeeping is hoisted out of the hot loop and
 amortized over the whole chunk).
 
-Only the four straight-line kinds get their own codes; everything that
-can block or synchronize (acquire, barrier, spin, I/O) is marked
-``K_SLOW`` and handed to the driver's ``execute_op``, which keeps the
-run loop free of rarely-taken control flow.
+Both run loops read these streams: BulkSC's
+(:meth:`repro.core.driver.BulkSCDriver._run_until`) and the baselines'
+(:meth:`repro.consistency.base.BaselineDriver._run_until`).  The
+straight-line kinds get their own codes; everything that can block or
+synchronize (acquire, barrier, spin, I/O) is marked ``K_SLOW`` and
+handed to the driver's ``execute_op``, which keeps the run loops free of
+rarely-taken control flow.
 
-``LockRelease`` lowers to a plain store of the literal 0: a release is
-a store with a pre-resolved value (and it stays on the inline path —
-releases are how workloads hand locks over).
+``LockRelease`` lowers to ``K_RELEASE``, carrying the store-value spec
+of the literal 0.  BulkSC runs it as a plain store (any memory kind that
+is not ``K_LOAD`` is a store there); the baselines give it release
+semantics: drain buffered stores first, then make it visible.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ K_LOAD = 1
 K_STORE = 2
 K_FENCE = 3
 K_SLOW = 4  # acquire / barrier / spin / io: the driver's execute_op
+K_RELEASE = 5  # a store of 0 with release semantics
 
 # Store-value spec codes (first element of a `vspecs` entry).
 V_LIT = 0  # (V_LIT, value, 0)
@@ -69,13 +74,14 @@ class OpStream:
         self.line_shift = line_shift
         #: Kind code per op (K_*).
         self.kinds = kinds
-        #: COMPUTE: burst count; LOAD/STORE: word address; else 0.
+        #: COMPUTE: burst count; LOAD/STORE/RELEASE: word address; else 0.
         self.args = args
         #: Pre-shifted line address for memory ops; 0 otherwise.
         self.lines = lines
         #: Destination register name for LOAD; None otherwise.
         self.regs = regs
-        #: Pre-split store-value spec (V_* triple) for STORE; None otherwise.
+        #: Pre-split store-value spec (V_* triple) for STORE/RELEASE;
+        #: None otherwise.
         self.vspecs = vspecs
 
 
@@ -122,7 +128,7 @@ def lower(program: "ThreadProgram", line_shift: int) -> OpStream:
             vspecs.append(vspec)
         elif kind is OpKind.RELEASE:
             assert isinstance(op, LockRelease)
-            kinds.append(K_STORE)
+            kinds.append(K_RELEASE)
             args.append(op.addr)
             lines.append(op.addr >> line_shift)
             regs.append(None)

@@ -35,13 +35,19 @@ class RetirementWindow:
     def __init__(self, config: ProcessorConfig, mshr: MshrFile):
         self.config = config
         self.mshr = mshr
+        # The run loops (``repro.consistency.base`` and
+        # ``repro.core.driver``) hold ``retire_cursor`` and
+        # ``ring_instructions`` in locals and update ``ring`` in place with
+        # exactly the arithmetic of :meth:`retire_compute` / :meth:`_push`,
+        # writing both counters back before any call into this object.
         self.retire_cursor = 0.0
-        self._per_instruction = 1.0 / config.commit_width
-        self._l1_round_trip = 2.0  # refined by set_l1_round_trip()
-        # Ring of the retirement times of the last `instruction_window`
-        # dynamic instructions, coarsened to one entry per micro-op.
-        self._window: Deque[tuple] = deque()  # (retire_time, instr_count)
-        self._window_instructions = 0
+        self.per_instruction = 1.0 / config.commit_width
+        self.l1_round_trip = 2.0  # refined by set_l1_round_trip()
+        #: Ring of the retirement times of the last `instruction_window`
+        #: dynamic instructions, coarsened to one entry per micro-op.
+        self.ring: Deque[tuple] = deque()  # (retire_time, instr_count)
+        #: Instructions the ring covers.
+        self.ring_instructions = 0
 
     # ------------------------------------------------------------------
     def decode_time(self) -> float:
@@ -54,31 +60,31 @@ class RetirementWindow:
         is 0.
         """
         need = self.config.instruction_window
-        if self._window_instructions < need:
+        if self.ring_instructions < need:
             return 0.0
         # :meth:`_push` trims the ring so that the window *minus its
         # oldest entry* always holds fewer than ``need`` instructions —
         # the op ``need`` back therefore always falls in the oldest
         # entry, making this O(1) rather than a walk.
-        retire_time, count = self._window[0]
-        into_entry = need - (self._window_instructions - count)
-        return max(0.0, retire_time - into_entry * self._per_instruction)
+        retire_time, count = self.ring[0]
+        into_entry = need - (self.ring_instructions - count)
+        return max(0.0, retire_time - into_entry * self.per_instruction)
 
     def _push(self, retire_time: float, instructions: int) -> None:
-        self._window.append((retire_time, instructions))
-        self._window_instructions += instructions
+        self.ring.append((retire_time, instructions))
+        self.ring_instructions += instructions
         while (
-            self._window
-            and self._window_instructions - self._window[0][1]
+            self.ring
+            and self.ring_instructions - self.ring[0][1]
             >= self.config.instruction_window
         ):
-            __, count = self._window.popleft()
-            self._window_instructions -= count
+            __, count = self.ring.popleft()
+            self.ring_instructions -= count
 
     # ------------------------------------------------------------------
     def retire_compute(self, instructions: int) -> float:
         """Retire a compute burst; returns the new cursor."""
-        self.retire_cursor += instructions * self._per_instruction
+        self.retire_cursor += instructions * self.per_instruction
         self._push(self.retire_cursor, instructions)
         return self.retire_cursor
 
@@ -112,9 +118,9 @@ class RetirementWindow:
                 global-visibility work (invalidation acknowledgements) an
                 SC store must complete at retirement.
         """
-        pipeline_time = self.retire_cursor + instructions * self._per_instruction
+        pipeline_time = self.retire_cursor + instructions * self.per_instruction
         visibility_floor = self.retire_cursor + unhideable
-        is_miss = latency > self._l1_round_trip
+        is_miss = latency > self.l1_round_trip
         if blocking and latency > 0:
             fetch_start = self.decode_time() if fetch_at_decode else self.retire_cursor
             if is_miss and line_addr >= 0:
@@ -146,7 +152,7 @@ class RetirementWindow:
 
     def set_l1_round_trip(self, cycles: float) -> None:
         """Latencies at or below this are hits and bypass the MSHR file."""
-        self._l1_round_trip = cycles
+        self.l1_round_trip = cycles
 
     def stall_until(self, time: float) -> float:
         """Externally imposed stall (barrier wait, commit wait, ...)."""

@@ -96,6 +96,20 @@ class SetAssocCache:
         self.misses += 1
         return None
 
+    def hit(self, line_addr: int) -> Optional[CacheLine]:
+        """:meth:`lookup`'s hit side alone: the run loops' inline L1 hit.
+
+        A resident line gets its LRU stamp and counts a hit; a miss
+        returns ``None`` and counts nothing, because the caller's slow path
+        then performs (and counts) the real access.
+        """
+        cache_set = self._sets.get(line_addr & self._set_mask)
+        line = cache_set.get(line_addr) if cache_set is not None else None
+        if line is not None:
+            line.lru_stamp = next(self._lru_clock)
+            self.hits += 1
+        return line
+
     def probe(self, line_addr: int) -> Optional[CacheLine]:
         """Lookup without LRU update or hit/miss accounting (snoops)."""
         cache_set = self._sets.get(line_addr & self._set_mask)

@@ -152,6 +152,13 @@ class Machine:
         self.drivers: List[ProcessorDriver] = [
             self._build_driver(proc) for proc in range(config.num_processors)
         ]
+        # (proc, hook) per driver that reacts to remote stores (SC's
+        # prefetch rollback, SC++'s SHiQ), in driver order.
+        self._remote_write_hooks = [
+            (driver.proc, driver.on_remote_write)
+            for driver in self.drivers
+            if hasattr(driver, "on_remote_write")
+        ]
         self._finished_count = 0
         self._result: Optional[RunResult] = None
         # Baseline of the process-global signature index cache, so run()
@@ -248,11 +255,8 @@ class Machine:
     # ------------------------------------------------------------------
     def broadcast_write(self, writer_proc: int, line_addr: int, time: float) -> None:
         """A store became visible; let other drivers react (SHiQ, prefetch)."""
-        for driver in self.drivers:
-            if driver.proc == writer_proc:
-                continue
-            hook = getattr(driver, "on_remote_write", None)
-            if hook is not None:
+        for proc, hook in self._remote_write_hooks:
+            if proc != writer_proc:
                 hook(line_addr, time)
 
     def deliver_commit_to_proc(self, proc: int, chunk: Chunk, now: float) -> None:

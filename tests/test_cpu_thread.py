@@ -3,8 +3,15 @@
 import pytest
 
 from repro.cpu.checkpoint import Checkpoint
-from repro.cpu.isa import Compute, Load, Store
-from repro.cpu.opstream import K_COMPUTE, K_LOAD, K_STORE, V_LIT, stream_for
+from repro.cpu.isa import Compute, Load, LockRelease, Store
+from repro.cpu.opstream import (
+    K_COMPUTE,
+    K_LOAD,
+    K_RELEASE,
+    K_STORE,
+    V_LIT,
+    stream_for,
+)
 from repro.cpu.thread import ThreadContext, ThreadProgram
 from repro.errors import ProgramError
 
@@ -36,6 +43,15 @@ class TestThreadProgram:
         assert stream.kinds == (K_LOAD, K_COMPUTE, K_STORE)
         assert stream.lines == (0, 0, 1 >> 3)
         assert stream.vspecs[2] == (V_LIT, 5, 0)
+
+    def test_release_keeps_its_own_kind(self):
+        """A release lowers to K_RELEASE carrying a store of the literal 0."""
+        stream = ThreadProgram([Store(40, 7), LockRelease(40)]).op_stream(3)
+        assert stream.kinds == (K_STORE, K_RELEASE)
+        assert stream.args == (40, 40)
+        assert stream.lines == (40 >> 3, 40 >> 3)
+        assert stream.regs == (None, None)
+        assert stream.vspecs == ((V_LIT, 7, 0), (V_LIT, 0, 0))
 
     def test_empty_program(self):
         program = ThreadProgram([])

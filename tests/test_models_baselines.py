@@ -1,8 +1,11 @@
-"""Driver-level tests for the SC, RC, and SC++ baselines."""
+"""Driver-level tests for the SC, RC, SC++ and TSO baselines."""
 
 import pytest
 
-from repro.cpu.isa import Compute, Fence, Load, Store
+from repro.consistency.sc import SCDriver
+from repro.consistency.scpp import SCPPDriver
+from repro.cpu.isa import Compute, Fence, Load, Reg, RegPlus, Store
+from repro.errors import ProgramError
 from repro.cpu.thread import ThreadProgram
 from repro.memory.address import AddressMap, AddressSpace
 from repro.params import (
@@ -11,6 +14,7 @@ from repro.params import (
     rc_config,
     sc_config,
     scpp_config,
+    tso_config,
 )
 from repro.system import Machine, run_workload
 from repro.verify.sc_checker import check_sequential_consistency
@@ -166,3 +170,61 @@ class TestSCPPDriver:
         rc = run_programs(rc_config(), [ops]).cycles
         scpp = run_programs(scpp_config(), [ops]).cycles
         assert scpp <= rc * 1.3
+
+
+BASELINE_FACTORIES = [sc_config, rc_config, scpp_config, tso_config]
+
+
+class TestStoreOperands:
+    @pytest.mark.parametrize("factory", BASELINE_FACTORIES)
+    def test_register_operands_resolve(self, factory):
+        result = run_programs(
+            factory(),
+            [[Store(16, 5), Fence(), Load("r", 16), Store(8, Reg("r")),
+              Store(24, RegPlus("r", 3))]],
+        )
+        assert (result.memory.peek(8), result.memory.peek(24)) == (5, 8)
+
+    @pytest.mark.parametrize("factory", BASELINE_FACTORIES)
+    @pytest.mark.parametrize("operand", [Reg("missing"), RegPlus("missing", 1)])
+    def test_unwritten_register_raises(self, factory, operand):
+        with pytest.raises(ProgramError, match="unwritten register 'missing'"):
+            run_programs(factory(), [[Compute(3), Load("r", 8), Store(8, operand)]])
+
+
+class TestRemoteWriteHooks:
+    @pytest.mark.parametrize(
+        "factory,driver_cls", [(sc_config, SCDriver), (scpp_config, SCPPDriver)]
+    )
+    def test_every_other_driver_sees_each_write_in_driver_order(
+        self, monkeypatch, factory, driver_cls
+    ):
+        """Each visible store reaches every other driver's hook, in order."""
+        seen = []
+        hook = driver_cls.on_remote_write
+
+        def spy(driver, line_addr, time):
+            seen.append((driver.proc, line_addr, time))
+            hook(driver, line_addr, time)
+
+        expected = []
+        broadcast = Machine.broadcast_write
+
+        def reference(machine, writer_proc, line_addr, time):
+            expected.extend(
+                (driver.proc, line_addr, time)
+                for driver in machine.drivers
+                if driver.proc != writer_proc
+            )
+            broadcast(machine, writer_proc, line_addr, time)
+
+        monkeypatch.setattr(driver_cls, "on_remote_write", spy)
+        monkeypatch.setattr(Machine, "broadcast_write", reference)
+        shared = 8 * 64 * 9
+        programs = [
+            [Store(8 * 64 * (p + 1), p + 1), Compute(5 * p), Store(shared, p)]
+            for p in range(3)
+        ]
+        run_programs(factory(), programs)
+        assert len(seen) == 6 * (factory().num_processors - 1)
+        assert seen == expected

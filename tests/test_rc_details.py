@@ -119,6 +119,24 @@ class TestFenceSemantics:
         )
         assert data_index < release_index
 
+    @pytest.mark.parametrize("factory", [rc_config, tso_config])
+    def test_release_drains_an_older_miss_first(self, factory):
+        """A release to a cached lock line still waits for an older miss.
+
+        Buffered as a plain store, the release (an L1 hit) would drain
+        before the older store's miss under RC.
+        """
+        from repro.cpu.isa import LockRelease
+
+        far = 8 * 4096
+        result = run_ops(
+            factory(),
+            [[Load("lock", 0), Store(far, 5), LockRelease(0), Compute(2000)]],
+        )
+        stores = [e.word_addr for e in result.history.events() if e.is_store]
+        assert stores == [far, 0]
+        assert result.stat("proc0.store_buffer_stalls") == 0
+
 
 class TestBufferCapacity:
     def test_capacity_limits_outstanding_stores(self):
