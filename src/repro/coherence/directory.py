@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set
 from repro.errors import ProtocolError
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Sharing state of one line.
 
@@ -77,7 +77,11 @@ class DirectoryModule:
         if entry is None:
             self.allocations += 1
             entry = self._entries[line_addr] = DirectoryEntry(line_addr)
-            self._buckets.setdefault(self._bucket_of(line_addr), []).append(entry)
+            index = self._bucket_of(line_addr)
+            bucket = self._buckets.get(index)
+            if bucket is None:
+                bucket = self._buckets[index] = []
+            bucket.append(entry)
         return entry
 
     def peek(self, line_addr: int) -> Optional[DirectoryEntry]:

@@ -12,7 +12,7 @@ questions every model asks:
 
 Baselines use :meth:`read` / :meth:`write` (MESI semantics: writes obtain
 exclusivity via invalidations); their run loop serves a plain L1 load hit
-itself, through ``SetAssocCache.hit``.  BulkSC uses
+itself, through ``SetAssocCache.lookup``.  BulkSC uses
 :meth:`fetch_for_chunk`, which is always a *read* request — even for a
 write miss — because writes gain visibility only at chunk commit (paper
 Section 4.3).
@@ -34,7 +34,7 @@ from repro.memory.mshr import MshrFile
 from repro.params import SystemConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessOutcome:
     """Result of one demand access."""
 
@@ -169,19 +169,22 @@ class CoherenceController:
         line_addr: int,
         now: float,
         pinned: Optional[Callable[[int], bool]] = None,
+        dir_index: Optional[int] = None,
     ) -> AccessOutcome:
         """Bring a line into ``proc``'s L1 for speculative chunk execution.
 
         The directory only ever records the requester as a *sharer*: the
         access is speculative, so the directory cannot mark the requester
         as holding an updated copy (Section 4.3).  ``pinned`` protects
-        speculatively-written lines from victimization.
+        speculatively-written lines from victimization; ``dir_index`` is
+        the line's home directory, when the caller already resolved it.
         """
         l1 = self.l1s[proc]
         if l1.lookup(line_addr) is not None:
             return AccessOutcome(self._l1_rt, "l1")
         return self._fill_from_hierarchy(
-            proc, line_addr, now, exclusive=False, pinned=pinned
+            proc, line_addr, now, exclusive=False, pinned=pinned,
+            dir_index=dir_index,
         )
 
     def would_overflow_l1(
@@ -201,18 +204,21 @@ class CoherenceController:
         now: float,
         exclusive: bool,
         pinned: Optional[Callable[[int], bool]] = None,
+        dir_index: Optional[int] = None,
     ) -> AccessOutcome:
-        directory = self.home_directory(line_addr)
+        if dir_index is None:
+            dir_index = self.address_map.directory_of(line_addr)
+        directory = self.directories[dir_index]
         entry = directory.entry(line_addr)
-        proc_node = self._proc_node(proc)
-        dir_node = self._dir_node(line_addr)
+        proc_node = Network.proc(proc)
+        dir_node = Network.directory(dir_index)
         request_latency = self.network.send(
             proc_node, dir_node, TrafficClass.RD_WR, 0
         )
         # Where does the data come from?
         if entry.dirty and entry.owner is not None and entry.owner != proc:
             level, supply_latency = self._fetch_from_owner(
-                proc, line_addr, entry, dir_node
+                proc, line_addr, directory, entry, dir_node
             )
         elif self.l2.lookup(line_addr) is not None:
             level = "l2"
@@ -248,6 +254,7 @@ class CoherenceController:
         self,
         proc: int,
         line_addr: int,
+        directory: DirectoryModule,
         entry: DirectoryEntry,
         dir_node: NodeId,
     ):
@@ -261,7 +268,6 @@ class CoherenceController:
         if owner_line is None or not owner_line.dirty:
             # False owner (silent displacement or BulkSC aliasing): the
             # directory repairs its state and memory supplies the data.
-            directory = self.home_directory(line_addr)
             directory.resolve_false_owner(line_addr, owner)
             self.stats.bump("coherence.false_owner_repairs")
             return "mem", forward_latency + self._mem_rt

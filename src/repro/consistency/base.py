@@ -91,8 +91,8 @@ class BaselineDriver(ProcessorDriver):
         iwindow = window.config.instruction_window
         per_instr = window.per_instruction
         l1_rt = window.l1_round_trip
-        l1_hit = self._l1.hit
-        mem_read = self.memory.read
+        l1_lookup = self._l1.lookup
+        mem_words = self.memory.words
         history = self.history
         record = history.record if history.enabled else None
         proc = self.proc
@@ -137,7 +137,7 @@ class BaselineDriver(ProcessorDriver):
                     and len(shiq) < shiq_capacity
                     and line not in refetch
                 ):
-                    cl = l1_hit(line)
+                    cl = l1_lookup(line)
                 if cl is None:
                     window.retire_cursor = cursor
                     window.ring_instructions = win_instr
@@ -168,7 +168,7 @@ class BaselineDriver(ProcessorDriver):
                         win_instr -= ring.popleft()[1]
                     if park is not None:
                         park(line, cursor)
-                    value = mem_read(addr)
+                    value = mem_words.get(addr, 0)
                     registers[regv[pc]] = value
                     if record is not None:
                         record(cursor, proc, False, addr, value, pc)

@@ -46,9 +46,10 @@ class BDM:
         self.factory = signature_factory
         self.stats = stats if stats is not None else StatsRegistry("bdm")
         self.private_buffer = PrivateBuffer(private_buffer_capacity)
-        # Chunks with live signatures, oldest first (owned by the driver;
-        # registered here so disambiguation and pinning can see them).
-        self._active_chunks: List[Chunk] = []
+        #: Chunks with live signatures, oldest first (owned by the driver;
+        #: registered here so disambiguation and pinning can see them).
+        #: The BulkSC run loop reads it in place to forward loads.
+        self.chunks: List[Chunk] = []
         # Cross-chunk forward log: (line, destination chunk id) entries not
         # yet reflected in the destination's R signature.
         self._forward_log: List[Tuple[int, int]] = []
@@ -64,14 +65,14 @@ class BDM:
         return self.factory.new(), self.factory.new(), self.factory.new()
 
     def register_chunk(self, chunk: Chunk) -> None:
-        self._active_chunks.append(chunk)
+        self.chunks.append(chunk)
 
     def deregister_chunk(self, chunk: Chunk) -> None:
-        if chunk in self._active_chunks:
-            self._active_chunks.remove(chunk)
+        if chunk in self.chunks:
+            self.chunks.remove(chunk)
 
     def active_chunks(self) -> List[Chunk]:
-        return list(self._active_chunks)
+        return list(self.chunks)
 
     # ------------------------------------------------------------------
     # Bulk disambiguation (Section 2.2)
@@ -86,7 +87,7 @@ class BDM:
         kernel — one packed AND per term, no intermediate signatures.
         """
         colliding: List[Chunk] = []
-        for chunk in self._active_chunks:
+        for chunk in self.chunks:
             if not chunk.is_active:
                 continue
             if collides_fast(w_commit, chunk.r_sig, chunk.w_sig):
@@ -132,7 +133,7 @@ class BDM:
         Wpriv lines are pinned too: their cached version is ahead of the
         committed image until the chunk commits.
         """
-        for chunk in self._active_chunks:
+        for chunk in self.chunks:
             if not chunk.is_active:
                 continue
             w_sig = chunk.w_sig
@@ -159,7 +160,7 @@ class BDM:
         Returns the chunk whose Wpriv (possibly falsely) matches, oldest
         first, or None.  A hit makes the caller consult the Private Buffer.
         """
-        for chunk in self._active_chunks:
+        for chunk in self.chunks:
             if chunk.is_active and chunk.wpriv_sig.member(line_addr):
                 return chunk
         return None

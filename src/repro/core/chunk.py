@@ -9,9 +9,11 @@ executes speculatively, atomically, and in isolation:
   chunk wrote anything this chunk read, the chunk squashes (``Rule2``);
 * a register checkpoint taken at the chunk boundary makes squash cheap.
 
-The chunk also logs its memory operations in program order so commit can
-emit them into the execution history at the visibility instant — which is
-what lets the SC checker validate chunked executions end to end.
+The chunk can also log its memory operations in program order so commit
+can emit them into the execution history at the visibility instant — which
+is what lets the SC checker validate chunked executions end to end.  The
+run loop keeps that log only while something reads it (see
+:attr:`Chunk.ops`).
 """
 
 from __future__ import annotations
@@ -62,7 +64,12 @@ class Chunk:
         self.instructions = 0
         # Speculative values: word address -> value (Rule1 buffering).
         self.write_buffer: Dict[int, int] = {}
-        # Program-order log for history emission at commit.
+        #: Program-order op log, read at commit by the history and by
+        #: ``commit.serialize`` subscribers.  The BulkSC run loop appends
+        #: to it only while history recording is on or a subscriber is
+        #: attached, so with neither it may be empty, or hold only the
+        #: sync ops, even after loads and stores ran; :attr:`instructions`
+        #: is what counts executed work.
         self.ops: List[ChunkOp] = []
         # Ground truth line sets (simulator bookkeeping for aliasing stats).
         self.true_read_lines: Set[int] = set()
@@ -118,7 +125,12 @@ class Chunk:
 
     @property
     def is_empty(self) -> bool:
-        return not self.ops and self.instructions == 0
+        """True while no instruction has run in this chunk.
+
+        Every logged op also counts in :attr:`instructions`, so this never
+        reads the op log, which may not be kept.
+        """
+        return self.instructions == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -124,31 +124,21 @@ class RetirementWindow:
         if blocking and latency > 0:
             fetch_start = self.decode_time() if fetch_at_decode else self.retire_cursor
             if is_miss and line_addr >= 0:
-                fetch_start = max(fetch_start, self.mshr.earliest_free(fetch_start))
-            completion = fetch_start + latency
+                # The miss occupies (or merges into) an MSHR entry; a full
+                # file delays the fetch.
+                fetch_start = self.mshr.admit(line_addr, latency, fetch_start)
             self.retire_cursor = max(
-                pipeline_time, completion, extra_ready_time, visibility_floor
+                pipeline_time, fetch_start + latency, extra_ready_time,
+                visibility_floor,
             )
-            if is_miss and line_addr >= 0:
-                self._note_miss(line_addr, completion, fetch_start)
         else:
             self.retire_cursor = max(
                 pipeline_time, extra_ready_time, visibility_floor
             )
             if is_miss and line_addr >= 0:
-                fetch_start = self.decode_time()
-                fetch_start = max(fetch_start, self.mshr.earliest_free(fetch_start))
-                self._note_miss(line_addr, fetch_start + latency, fetch_start)
+                self.mshr.admit(line_addr, latency, self.decode_time())
         self._push(self.retire_cursor, instructions)
         return self.retire_cursor
-
-    def _note_miss(self, line_addr: int, completion: float, now: float) -> None:
-        """Record an in-flight miss in the MSHR file (merging secondaries)."""
-        if self.mshr.in_flight(line_addr, now):
-            self.mshr.allocate(line_addr, completion, now)  # merge
-            return
-        free_at = self.mshr.earliest_free(now)
-        self.mshr.allocate(line_addr, completion, max(now, free_at))
 
     def set_l1_round_trip(self, cycles: float) -> None:
         """Latencies at or below this are hits and bypass the MSHR file."""

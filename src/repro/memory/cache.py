@@ -35,7 +35,7 @@ class LineState(Enum):
         return self is LineState.MODIFIED
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One tag-array entry."""
 
@@ -48,12 +48,17 @@ class CacheLine:
         return self.state.is_dirty
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EvictionResult:
     """Outcome of inserting a line into a full set."""
 
     inserted: bool
     victim: Optional[CacheLine] = None  # evicted line needing handling
+
+
+# Victimless outcomes are shared: a fill allocates only its CacheLine.
+_INSERTED = EvictionResult(inserted=True)
+_OVERFLOWED = EvictionResult(inserted=False)
 
 
 class SetAssocCache:
@@ -65,58 +70,42 @@ class SetAssocCache:
         self.name = name
         self.num_sets = geometry.num_sets
         self.associativity = geometry.associativity
-        self._set_mask = self.num_sets - 1
-        # _sets[i] maps line_addr -> CacheLine for lines resident in set i.
-        # Sets are materialized lazily on first insert: simulations touch a
-        # tiny fraction of the (up to 4096) sets, and eagerly allocating one
-        # dict per set dominated machine-construction time in the
-        # commit-heavy litmus benchmark.
-        self._sets: Dict[int, Dict[int, CacheLine]] = {}
-        self._lru_clock = itertools.count()
-        self.hits = 0
-        self.misses = 0
-        #: Lines removed by :meth:`invalidate`; lets holders of CacheLine
-        #: references notice that one may have left the array.
-        self.invalidations = 0
+        # ``sets``, ``set_mask`` and ``lru_clock`` are public so the BulkSC
+        # run loop can probe and stamp lines inline (repro.core.driver).
+        self.set_mask = self.num_sets - 1
+        #: sets[i] maps line_addr -> CacheLine for lines resident in set i.
+        #: Sets are materialized lazily on first insert: simulations touch a
+        #: tiny fraction of the (up to 4096) sets, and eagerly allocating
+        #: one dict per set dominated machine-construction time in the
+        #: commit-heavy litmus benchmark.
+        self.sets: Dict[int, Dict[int, CacheLine]] = {}
+        #: Source of LRU stamps; the highest stamp is the most recent use.
+        self.lru_clock = itertools.count()
+        #: Lines that left the array, by :meth:`invalidate` or as an
+        #: :meth:`insert` victim; lets holders of CacheLine references
+        #: notice that one may have gone.
+        self.departures = 0
 
     # -- geometry ------------------------------------------------------------
     def set_index(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
+        return line_addr & self.set_mask
 
     # -- lookup --------------------------------------------------------------
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line, updating LRU, or ``None`` on miss."""
-        cache_set = self._sets.get(line_addr & self._set_mask)
+        cache_set = self.sets.get(line_addr & self.set_mask)
         line = cache_set.get(line_addr) if cache_set is not None else None
-        if line is not None:
-            if touch:
-                line.lru_stamp = next(self._lru_clock)
-            self.hits += 1
-            return line
-        self.misses += 1
-        return None
-
-    def hit(self, line_addr: int) -> Optional[CacheLine]:
-        """:meth:`lookup`'s hit side alone: the run loops' inline L1 hit.
-
-        A resident line gets its LRU stamp and counts a hit; a miss
-        returns ``None`` and counts nothing, because the caller's slow path
-        then performs (and counts) the real access.
-        """
-        cache_set = self._sets.get(line_addr & self._set_mask)
-        line = cache_set.get(line_addr) if cache_set is not None else None
-        if line is not None:
-            line.lru_stamp = next(self._lru_clock)
-            self.hits += 1
+        if line is not None and touch:
+            line.lru_stamp = next(self.lru_clock)
         return line
 
     def probe(self, line_addr: int) -> Optional[CacheLine]:
-        """Lookup without LRU update or hit/miss accounting (snoops)."""
-        cache_set = self._sets.get(line_addr & self._set_mask)
+        """Lookup without LRU update (snoops)."""
+        cache_set = self.sets.get(line_addr & self.set_mask)
         return cache_set.get(line_addr) if cache_set is not None else None
 
     def contains(self, line_addr: int) -> bool:
-        cache_set = self._sets.get(line_addr & self._set_mask)
+        cache_set = self.sets.get(line_addr & self.set_mask)
         return cache_set is not None and line_addr in cache_set
 
     # -- insertion / eviction ---------------------------------------------------
@@ -135,25 +124,27 @@ class SetAssocCache:
 
         Returns:
             An :class:`EvictionResult`; ``inserted`` is False when every
-            candidate victim is pinned (set about to overflow).
+            candidate victim is pinned (set about to overflow).  Only a
+            result that carries a victim is newly allocated.
         """
-        index = self.set_index(line_addr)
-        cache_set = self._sets.get(index)
+        index = line_addr & self.set_mask
+        cache_set = self.sets.get(index)
         if cache_set is None:
-            cache_set = self._sets[index] = {}
+            cache_set = self.sets[index] = {}
         existing = cache_set.get(line_addr)
         if existing is not None:
             existing.state = state
-            existing.lru_stamp = next(self._lru_clock)
-            return EvictionResult(inserted=True)
-        victim = None
-        if len(cache_set) >= self.associativity:
-            victim = self._pick_victim(cache_set, pinned)
-            if victim is None:
-                return EvictionResult(inserted=False)
-            del cache_set[victim.line_addr]
-        line = CacheLine(line_addr, state, next(self._lru_clock))
-        cache_set[line_addr] = line
+            existing.lru_stamp = next(self.lru_clock)
+            return _INSERTED
+        if len(cache_set) < self.associativity:
+            cache_set[line_addr] = CacheLine(line_addr, state, next(self.lru_clock))
+            return _INSERTED
+        victim = self._pick_victim(cache_set, pinned)
+        if victim is None:
+            return _OVERFLOWED
+        del cache_set[victim.line_addr]
+        self.departures += 1
+        cache_set[line_addr] = CacheLine(line_addr, state, next(self.lru_clock))
         return EvictionResult(inserted=True, victim=victim)
 
     def _pick_victim(
@@ -172,7 +163,7 @@ class SetAssocCache:
         self, line_addr: int, pinned: Callable[[int], bool]
     ) -> bool:
         """True if inserting ``line_addr`` would find no evictable victim."""
-        cache_set = self._sets.get(self.set_index(line_addr))
+        cache_set = self.sets.get(line_addr & self.set_mask)
         if cache_set is None:
             return False
         if line_addr in cache_set or len(cache_set) < self.associativity:
@@ -181,10 +172,10 @@ class SetAssocCache:
 
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:
         """Remove a line (coherence invalidation); returns it if present."""
-        cache_set = self._sets.get(line_addr & self._set_mask)
+        cache_set = self.sets.get(line_addr & self.set_mask)
         line = cache_set.pop(line_addr, None) if cache_set is not None else None
         if line is not None:
-            self.invalidations += 1
+            self.departures += 1
         return line
 
     def set_state(self, line_addr: int, state: LineState) -> None:
@@ -194,16 +185,16 @@ class SetAssocCache:
 
     # -- iteration ---------------------------------------------------------------
     def lines_in_set(self, set_index: int) -> Iterator[CacheLine]:
-        cache_set = self._sets.get(set_index)
+        cache_set = self.sets.get(set_index)
         return iter(cache_set.values()) if cache_set is not None else iter(())
 
     def all_lines(self) -> Iterator[CacheLine]:
         # Set-index order, so iteration is independent of touch order.
-        for set_index in sorted(self._sets):
-            yield from self._sets[set_index].values()
+        for set_index in sorted(self.sets):
+            yield from self.sets[set_index].values()
 
     def resident_count(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets.values())
+        return sum(len(cache_set) for cache_set in self.sets.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -17,20 +17,18 @@ class MainMemory:
     """Word-addressed value store, default-zero."""
 
     def __init__(self) -> None:
-        self._words: Dict[int, int] = {}
-        self.reads = 0
-        self.writes = 0
+        #: word address -> value, nonzero words only.  Public so the BulkSC
+        #: run loop can read a word inline (``words.get(addr, 0)``).
+        self.words: Dict[int, int] = {}
 
     def read(self, word_addr: int) -> int:
-        self.reads += 1
-        return self._words.get(word_addr, 0)
+        return self.words.get(word_addr, 0)
 
     def write(self, word_addr: int, value: int) -> None:
-        self.writes += 1
         if value == 0:
-            self._words.pop(word_addr, None)
+            self.words.pop(word_addr, None)
         else:
-            self._words[word_addr] = value
+            self.words[word_addr] = value
 
     def write_many(self, updates: Iterable[Tuple[int, int]]) -> None:
         """Apply a batch of (address, value) updates atomically.
@@ -42,8 +40,8 @@ class MainMemory:
             self.write(word_addr, value)
 
     def peek(self, word_addr: int) -> int:
-        """Read without bumping statistics (verification/debug)."""
-        return self._words.get(word_addr, 0)
+        """:meth:`read` under the name verification and debug code use."""
+        return self.words.get(word_addr, 0)
 
     def nonzero_words(self) -> Dict[int, int]:
-        return dict(self._words)
+        return dict(self.words)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.coherence.dirbdm import DirBDM
+from repro.coherence.directory import DirectoryModule
 from repro.coherence.protocol import AccessOutcome, CoherenceController
 from repro.consistency.rc import RCDriver
 from repro.consistency.sc import SCDriver
@@ -196,7 +197,11 @@ class Machine:
           ``(recovery_event,)``.
 
         Publishers skip all work while nothing subscribes.  Subscribers
-        observe only; they must not change simulator state.
+        observe only; they must not change simulator state.  Attach them
+        before :meth:`run`: the BulkSC run loop keeps each chunk's op log
+        (``txn.chunk.ops`` in ``commit.serialize``) only while history is
+        on or someone subscribes, so a late subscriber would see chunks
+        with their earlier ops missing.
         """
         self.subscribers.append(subscriber)
 
@@ -334,21 +339,22 @@ class Machine:
           supplies the *old* version and the address is added back into
           that chunk's W signature.
         """
-        extra_latency = 0.0
-        dir_index = self.coherence.address_map.directory_of(line_addr)
-        dirbdm = self.dirbdms[dir_index]
-        if dirbdm.is_read_disabled(line_addr):
-            extra_latency += (
+        coherence = self.coherence
+        dir_index = coherence.address_map.directory_of(line_addr)
+        bounced = self.dirbdms[dir_index].is_read_disabled(line_addr)
+        self._maybe_wpriv_intervention(
+            proc, line_addr, coherence.directories[dir_index]
+        )
+        outcome = coherence.fetch_for_chunk(proc, line_addr, now, pinned, dir_index)
+        if bounced:
+            outcome.latency += (
                 2 * self.config.network_hop_cycles + CommitEngine.ACK_TURNAROUND_CYCLES
             )
-        self._maybe_wpriv_intervention(proc, line_addr)
-        outcome = self.coherence.fetch_for_chunk(proc, line_addr, now, pinned)
-        if extra_latency:
-            outcome.latency += extra_latency
         return outcome
 
-    def _maybe_wpriv_intervention(self, requester: int, line_addr: int) -> None:
-        directory = self.coherence.home_directory(line_addr)
+    def _maybe_wpriv_intervention(
+        self, requester: int, line_addr: int, directory: DirectoryModule
+    ) -> None:
         entry = directory.peek(line_addr)
         if (
             entry is None

@@ -81,3 +81,10 @@ class TestLifecycle:
         assert chunk.is_empty
         chunk.instructions += 1
         assert not chunk.is_empty
+
+    def test_is_empty_does_not_read_the_op_log(self):
+        """With the op log unkept, executed instructions alone count."""
+        chunk = make_chunk()
+        chunk.instructions = 2  # a load and a store ran, neither logged
+        assert not chunk.ops
+        assert not chunk.is_empty

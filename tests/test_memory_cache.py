@@ -27,13 +27,14 @@ class TestLookupInsert:
         assert cache.lookup(5) is None
         cache.insert(5, LineState.SHARED)
         assert cache.lookup(5) is not None
-        assert cache.hits == 1
-        assert cache.misses == 1
 
-    def test_probe_does_not_count(self):
-        cache = small_cache()
-        cache.probe(5)
-        assert cache.misses == 0
+    def test_probe_leaves_lru_alone(self):
+        cache = small_cache(sets=4, ways=2)
+        a, b, c = (addr_in_set(cache, 0, t) for t in range(3))
+        cache.insert(a, LineState.SHARED)
+        cache.insert(b, LineState.SHARED)
+        assert cache.probe(a) is not None  # no refresh: a stays LRU
+        assert cache.insert(c, LineState.SHARED).victim.line_addr == a
 
     def test_insert_same_line_updates_state(self):
         cache = small_cache()
@@ -78,6 +79,21 @@ class TestEviction:
         result = cache.insert(c, LineState.SHARED, pinned=lambda addr: True)
         assert not result.inserted
         assert not cache.contains(c)
+
+    def test_departures_count_victims_and_invalidations(self):
+        cache = small_cache(sets=4, ways=2)
+        a, b, c = (addr_in_set(cache, 0, t) for t in range(3))
+        cache.insert(a, LineState.SHARED)
+        cache.insert(b, LineState.SHARED)
+        cache.insert(b, LineState.MODIFIED)  # re-insert: nothing leaves
+        assert cache.departures == 0
+        cache.insert(c, LineState.SHARED, pinned=lambda addr: True)
+        assert cache.departures == 0  # overflow: nothing leaves
+        cache.insert(c, LineState.SHARED)
+        assert cache.departures == 1  # a evicted
+        cache.invalidate(b)
+        cache.invalidate(b)  # absent: nothing leaves
+        assert cache.departures == 2
 
     def test_would_overflow(self):
         cache = small_cache(sets=4, ways=2)

@@ -62,3 +62,34 @@ def test_clear():
     mshr.allocate(1, 10.0, 0.0)
     mshr.clear()
     assert mshr.outstanding(0.0) == 0
+
+
+@pytest.mark.parametrize("start", [0.0, 5.0, 10.0, 15.0, 25.0])
+@pytest.mark.parametrize("line", [1, 3])
+def test_admit_is_earliest_free_then_allocate(start, line):
+    """admit() matches the two-call protocol it replaces, stalls included."""
+
+    def filled():
+        mshr = MshrFile(2)
+        mshr.allocate(1, 10.0, 0.0)
+        mshr.allocate(2, 20.0, 0.0)
+        return mshr
+
+    reference = filled()
+    fetch = max(start, reference.earliest_free(start))
+    if not reference.in_flight(line, fetch):
+        fetch = max(fetch, reference.earliest_free(fetch))
+    reference.allocate(line, fetch + 7.0, fetch)
+    admitted = filled()
+    assert admitted.admit(line, 7.0, start) == fetch
+    for mshr in (reference, admitted):
+        assert mshr.outstanding(fetch) == reference.outstanding(fetch)
+    for addr in (1, 2, 3):
+        assert admitted.completion_time(addr, fetch) == reference.completion_time(
+            addr, fetch
+        )
+    assert (
+        admitted.full_stalls, admitted.primary_misses, admitted.secondary_misses
+    ) == (
+        reference.full_stalls, reference.primary_misses, reference.secondary_misses
+    )
