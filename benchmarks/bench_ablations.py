@@ -209,7 +209,7 @@ def test_distributed_arbiter_ablation(benchmark, bench_instructions, bench_seed)
                     return cfg
                 cfg = replace(cfg, num_directories=4)
                 return cfg.with_bulksc(
-                    arbiter_topology=ArbiterTopology.DISTRIBUTED, num_arbiters=4
+                    arbiter_topology=ArbiterTopology.DISTRIBUTED
                 )
 
             for app in ("barnes", "ocean"):

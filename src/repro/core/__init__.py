@@ -8,9 +8,10 @@
 * :mod:`repro.core.chunking` — chunk-boundary policy: instruction-count
   targets, cache-set overflow, exponential shrink after squashes, and the
   pre-arbitration forward-progress fallback.
-* :mod:`repro.core.arbiter` — the centralized arbiter with the RSig
-  bandwidth optimization; :mod:`repro.core.distributed_arbiter` adds the
-  per-address-range arbiters coordinated by a G-arbiter.
+* :mod:`repro.core.arbiter` — one address range's arbiter with the RSig
+  bandwidth optimization; :mod:`repro.core.distributed_arbiter` is every
+  machine's front end over those range arbiters (one range when central),
+  with a G-arbiter for multi-range commits.
 * :mod:`repro.core.private_data` — statically- and dynamically-private
   data handling (Wpriv, Private Buffer).
 * :mod:`repro.core.commit` — the commit transaction: arbitration message

@@ -55,10 +55,16 @@ class ArbitrationDecision:
     granted: bool
     needs_r_signature: bool = False
     reason: str = ""
+    #: The request spanned ranges and went through the G-arbiter.
+    used_g_arbiter: bool = False
 
 
 class Arbiter:
-    """A centralized arbiter (one per machine, or per range if distributed)."""
+    """The arbiter of one address range.
+
+    A machine's :class:`~repro.core.distributed_arbiter.DistributedArbiter`
+    front end holds one per range; the central topology has exactly one.
+    """
 
     def __init__(
         self,

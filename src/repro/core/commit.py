@@ -55,9 +55,11 @@ denial-latency, never into a consistency violation.
 
 Epochs and leases (arbiter crash recovery)
 ------------------------------------------
-Every grant carries a *lease*: the epoch(s) of the arbiter incarnation(s)
-that issued it — a 1-tuple for the central arbiter, one epoch per
-involved range when distributed.  ``_on_grant_received`` rejects a grant
+A transaction resolves the address ranges its chunk touched once, at
+submission (the central arbiter is the one-range case, so every chunk
+there is in range 0).  Every grant carries a *lease*: the epoch of each
+involved range arbiter's incarnation at the grant instant.
+``_on_grant_received`` rejects a grant
 whose lease no longer matches the live epochs (the issuing incarnation
 crashed after serializing but before the message landed), and release /
 abort quote the lease back so the arbiter can tell a post-crash release
@@ -80,7 +82,7 @@ from repro.errors import CommitTimeoutError, FaultInducedError, ProtocolError
 from repro.faults.plan import FaultPoint
 from repro.interconnect.network import Network
 from repro.interconnect.traffic import TrafficClass
-from repro.params import ArbiterTopology, PrivateDataMode
+from repro.params import PrivateDataMode
 from repro.signatures.compression import compressed_size_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,20 +112,21 @@ class CommitTransaction:
         self,
         commit_id: int,
         chunk: Chunk,
+        ranges: Tuple[int, ...],
         on_committed: Callable[[Chunk], None],
         on_granted: Optional[Callable[[Chunk], None]] = None,
     ):
         self.commit_id = commit_id
         self.chunk = chunk
+        #: The address ranges the chunk touched, resolved at submission.
+        self.ranges = ranges
         self.on_committed = on_committed
         self.on_granted = on_granted
-        self.retries = 0
         self.r_signature_sent = False
         # Signatures are frozen once the chunk is COMPLETE, so the wire
         # size of W is computed once and reused across retries, directory
         # fan-out, and per-victim delivery (it's a popcount over ~2 Kbit).
         self._w_sig_bytes: Optional[int] = None
-        self.used_g_arbiter = False
         # Resilience state --------------------------------------------------
         self.phase = TxnPhase.DECIDING
         #: Bumped on every (re)send of the commit request; decisions from
@@ -133,14 +136,10 @@ class CommitTransaction:
         #: must happen exactly when this is set.
         self.admitted = False
         self.retry_pending = False
-        #: The arbiter epoch(s) the grant was issued under — ``None``
-        #: until granted.  Central: a 1-tuple; distributed: one epoch per
-        #: involved range (aligned with ``ranges``).
+        #: The range arbiters' epochs the grant was issued under, aligned
+        #: with ``ranges`` — ``None`` until granted.
         self.lease: Optional[Tuple[int, ...]] = None
-        #: Involved address ranges (distributed topology only).
-        self.ranges: Optional[Tuple[int, ...]] = None
         self.home_dirs: List[int] = []
-        self.invalidation_procs: Set[int] = set()
         #: Victims whose W delivery has not executed yet (lost/late legs).
         self.pending_invalidations: Set[int] = set()
         self.watchdog: Optional[Event] = None
@@ -171,9 +170,6 @@ class CommitEngine:
         self.stats: StatsRegistry = machine.stats
         self.injector = machine.fault_injector
         self._hop = machine.config.network_hop_cycles
-        self._distributed = (
-            self.bulk_config.arbiter_topology is ArbiterTopology.DISTRIBUTED
-        )
         self._next_commit_id = 0
         #: Live transactions by commit id — the recovery manager polls
         #: this (the "ask every processor for its outstanding commit"
@@ -196,7 +192,12 @@ class CommitEngine:
                 f"chunk {chunk.chunk_id} submitted in state {chunk.state}"
             )
         self._next_commit_id += 1
-        txn = CommitTransaction(self._next_commit_id, chunk, on_committed, on_granted)
+        ranges = self.machine.arbiter.ranges_of(
+            chunk.true_written_lines, chunk.true_read_lines
+        )
+        txn = CommitTransaction(
+            self._next_commit_id, chunk, ranges, on_committed, on_granted
+        )
         self._inflight[txn.commit_id] = txn
         chunk.mark(ChunkState.ARBITRATING)
         # With the RSig optimization the first message carries only W;
@@ -213,8 +214,9 @@ class CommitEngine:
         self, txn: CommitTransaction, at_time: float, include_r: bool
     ) -> None:
         chunk = txn.chunk
+        ranges = txn.ranges
         proc_node = Network.proc(chunk.proc)
-        arb_node = Network.arbiter(self._arbiter_index_for(chunk))
+        arb_node = Network.arbiter(ranges[0] if len(ranges) == 1 else 0)
         # Permission-to-commit always carries W; R only when requested
         # (the RSig optimization) or when RSig is disabled.  Once R has
         # been shipped for this transaction the arbiter keeps it, so
@@ -235,14 +237,11 @@ class CommitEngine:
         if include_r and self.bulk_config.rsig_optimization:
             # The RSig second round: the arbiter had to come back for R.
             decision_delay += 2 * self._hop
-        if self._distributed and self._is_multi_range(chunk):
+        if len(ranges) > 1:
             # Figure 8(b): the request detours through the G-arbiter,
             # which fans out to every involved range arbiter and combines
             # their verdicts — two extra fabric crossings plus the fan-out
             # control messages.
-            ranges = self.machine.arbiter.ranges_of(
-                chunk.true_written_lines | chunk.true_read_lines
-            )
             garb = Network.global_arbiter()
             self.network.control(proc_node, garb)
             for r in ranges:
@@ -263,20 +262,6 @@ class CommitEngine:
             timeout=self.resilience.commit_timeout_cycles,
         )
 
-    def _arbiter_index_for(self, chunk: Chunk) -> int:
-        if not self._distributed:
-            return 0
-        ranges = self.machine.arbiter.ranges_of(
-            chunk.true_written_lines | chunk.true_read_lines
-        )
-        return ranges[0] if len(ranges) == 1 else 0
-
-    def _is_multi_range(self, chunk: Chunk) -> bool:
-        ranges = self.machine.arbiter.ranges_of(
-            chunk.true_written_lines | chunk.true_read_lines
-        )
-        return len(ranges) > 1
-
     def _decide(self, txn: CommitTransaction, r_included: bool, epoch: int) -> None:
         chunk = txn.chunk
         now = self.sim.now
@@ -296,18 +281,11 @@ class CommitEngine:
             return
         include_r_next = r_included or not self.bulk_config.rsig_optimization
         r_sig = chunk.r_sig if include_r_next else None
-        if self._distributed:
-            ranges = self.machine.arbiter.ranges_of(
-                chunk.true_written_lines | chunk.true_read_lines
-            )
-            decision = self.machine.arbiter.decide(
-                chunk.proc, chunk.w_sig, r_sig, ranges, now
-            )
-            txn.used_g_arbiter = decision.used_g_arbiter
-            if decision.used_g_arbiter:
-                self.stats.bump("commit.g_arbiter_transactions")
-        else:
-            decision = self.machine.arbiter.decide(chunk.proc, chunk.w_sig, r_sig, now)
+        decision = self.machine.arbiter.decide(
+            chunk.proc, chunk.w_sig, r_sig, txn.ranges, now
+        )
+        if decision.used_g_arbiter:
+            self.stats.bump("commit.g_arbiter_transactions")
         if self.machine.subscribers:
             self.machine.publish("arb.decide", chunk.proc, decision)
         if decision.needs_r_signature:
@@ -315,7 +293,6 @@ class CommitEngine:
             self._send_request(txn, now, include_r=True)
             return
         if not decision.granted:
-            txn.retries += 1
             self.stats.bump("commit.denials")
             if not txn.retry_pending:
                 txn.retry_pending = True
@@ -346,21 +323,14 @@ class CommitEngine:
         now = self.sim.now
         machine = self.machine
         self.stats.bump("commit.grants")
-        if self._distributed:
-            txn.ranges = machine.arbiter.ranges_of(
-                chunk.true_written_lines | chunk.true_read_lines
-            )
         if chunk.w_sig.is_empty():
             self.stats.bump("commit.empty_w_commits")
-        elif self._distributed:
+        else:
             machine.arbiter.admit(
                 txn.commit_id, chunk.proc, chunk.w_sig, txn.ranges, now
             )
             txn.admitted = True
-        else:
-            machine.arbiter.admit(txn.commit_id, chunk.proc, chunk.w_sig, now)
-            txn.admitted = True
-        txn.lease = self._current_lease(txn)
+        txn.lease = machine.arbiter.lease_for(txn.ranges)
         self._serialize(txn)
         txn.phase = TxnPhase.GRANT_SENT
         self._send_grant(txn)
@@ -427,7 +397,7 @@ class CommitEngine:
             self.stats.bump("commit.duplicate_grants")
             return
         if lease is not None and (
-            lease != txn.lease or not self._lease_valid(txn, lease)
+            lease != txn.lease or not machine.arbiter.lease_valid(txn.ranges, lease)
         ):
             # The issuing arbiter incarnation died in flight.  The
             # recovery manager will re-issue this grant under the new
@@ -453,7 +423,8 @@ class CommitEngine:
             return
         home_dirs = self._home_directories(chunk)
         txn.home_dirs = home_dirs
-        arb_node = Network.arbiter(self._arbiter_index_for(chunk))
+        ranges = txn.ranges
+        arb_node = Network.arbiter(ranges[0] if len(ranges) == 1 else 0)
         invalidation_procs: Set[int] = set()
         lookups = 0
         for dir_index in home_dirs:
@@ -586,7 +557,7 @@ class CommitEngine:
         for dir_index in txn.home_dirs:
             self.machine.dirbdms[dir_index].enable_reads(txn.commit_id)
         if txn.admitted:
-            self._release_at_arbiter(txn)
+            self.machine.arbiter.release(txn.commit_id, self.sim.now, lease=txn.lease)
             txn.admitted = False
         self.stats.bump("commit.completed")
 
@@ -598,40 +569,29 @@ class CommitEngine:
         for dir_index in txn.home_dirs:
             self.machine.dirbdms[dir_index].enable_reads(txn.commit_id)
         if txn.admitted:
-            self._abort_at_arbiter(txn)
+            self.machine.arbiter.abort(txn.commit_id, self.sim.now, lease=txn.lease)
             txn.admitted = False
         self.stats.bump("commit.abandoned_by_squash")
 
     # ------------------------------------------------------------------
     # Epoch/lease bookkeeping (arbiter crash recovery)
     # ------------------------------------------------------------------
-    def _current_lease(self, txn: CommitTransaction) -> Tuple[int, ...]:
-        if self._distributed:
-            return self.machine.arbiter.lease_for(txn.ranges or (0,))
-        return (self.machine.arbiter.epoch,)
-
-    def _lease_valid(self, txn: CommitTransaction, lease: Tuple[int, ...]) -> bool:
-        if self._distributed:
-            return self.machine.arbiter.lease_valid(txn.ranges or (0,), lease)
-        return lease == (self.machine.arbiter.epoch,)
-
-    def _release_at_arbiter(self, txn: CommitTransaction) -> None:
-        if self._distributed:
-            self.machine.arbiter.release(txn.commit_id, self.sim.now, lease=txn.lease)
-        else:
-            epoch = txn.lease[0] if txn.lease else None
-            self.machine.arbiter.release(txn.commit_id, self.sim.now, epoch=epoch)
-
-    def _abort_at_arbiter(self, txn: CommitTransaction) -> None:
-        if self._distributed:
-            self.machine.arbiter.abort(txn.commit_id, self.sim.now, lease=txn.lease)
-        else:
-            epoch = txn.lease[0] if txn.lease else None
-            self.machine.arbiter.abort(txn.commit_id, self.sim.now, epoch=epoch)
-
     def inflight_transactions(self) -> List[CommitTransaction]:
         """Live transactions, in commit-id order (deterministic)."""
         return [self._inflight[cid] for cid in sorted(self._inflight)]
+
+    def reresolve_ranges(self, chunk: Chunk) -> None:
+        """Re-resolve an arbitrating chunk's ranges after its W grew.
+
+        A Private Buffer add-back (Section 5.2) can put a line into the W
+        of a chunk that is still arbitrating; its next decision and its
+        admission must cover that line's range too.
+        """
+        for txn in self._inflight.values():
+            if txn.chunk is chunk:
+                txn.ranges = self.machine.arbiter.ranges_of(
+                    chunk.true_written_lines, chunk.true_read_lines
+                )
 
     def recovery_renew(self, txn: CommitTransaction) -> int:
         """Re-stamp a surviving transaction with the new incarnation's lease.
@@ -641,7 +601,7 @@ class CommitEngine:
         (phase still GRANT_SENT) gets the grant re-sent under the fresh
         lease; returns the number of grants re-sent (0 or 1).
         """
-        txn.lease = self._current_lease(txn)
+        txn.lease = self.machine.arbiter.lease_for(txn.ranges)
         if txn.phase is TxnPhase.GRANT_SENT:
             self.stats.bump("commit.recovery_grant_resends")
             self._send_grant(txn)
@@ -772,7 +732,6 @@ class CommitEngine:
         chunk = txn.chunk
         now = self.sim.now
         machine = self.machine
-        txn.invalidation_procs = set(invalidation_procs)
         # Remote disambiguation.  W is forwarded only to the directory's
         #    invalidation list — the Table 1 filter keeps signature
         #    aliasing from squashing processors that share nothing with

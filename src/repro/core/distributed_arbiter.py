@@ -4,48 +4,34 @@ For large machines the single arbiter is distributed into one module per
 address range (co-located with that range's directory).  A chunk that
 accessed a single range arbitrates locally; a chunk spanning ranges goes
 through the **G-arbiter**, which fans the request out to every involved
-range arbiter, combines their verdicts, and replies to all parties.
+range arbiter, combines their verdicts, and replies to all parties.  The
+central arbiter is the one-range case of the same front end.
 
-The G-arbiter optionally caches the W signatures of multi-range commits
-it coordinated so it can fast-deny colliding requests without a fan-out
+The G-arbiter caches the W signatures of multi-range commits it
+coordinated so it can fast-deny colliding requests without a fan-out
 round trip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.arbiter import Arbiter
+from repro.core.arbiter import Arbiter, ArbiterMode, ArbitrationDecision
 from repro.engine.stats import StatsRegistry
 from repro.errors import ProtocolError
 from repro.params import BulkSCConfig
 from repro.signatures.base import Signature
 
 
-@dataclass(frozen=True)
-class DistributedDecision:
-    """Combined outcome of a (possibly multi-range) arbitration."""
-
-    granted: bool
-    needs_r_signature: bool
-    used_g_arbiter: bool
-    involved_ranges: Tuple[int, ...]
-    reason: str = ""
-
-
 class GlobalArbiter:
     """The coordinator for multi-range commits (with a W-signature cache)."""
 
-    def __init__(self, stats: Optional[StatsRegistry] = None, cache_w: bool = True):
+    def __init__(self, stats: Optional[StatsRegistry] = None):
         self.stats = stats if stats is not None else StatsRegistry("garbiter")
-        self.cache_w = cache_w
         self._cached: Dict[int, Signature] = {}  # commit_id -> W
 
     def fast_deny(self, r_sig: Optional[Signature], w_sig: Signature) -> bool:
         """Check the W cache before fanning out (Section 4.2.3 speedup)."""
-        if not self.cache_w or not self._cached:
-            return False
         for cached_w in self._cached.values():
             if not cached_w.disjoint(w_sig):
                 self.stats.bump("garbiter.fast_denies")
@@ -56,7 +42,7 @@ class GlobalArbiter:
         return False
 
     def note_granted(self, commit_id: int, w_sig: Signature) -> None:
-        if self.cache_w and not w_sig.is_empty():
+        if not w_sig.is_empty():
             self._cached[commit_id] = w_sig
 
     def note_released(self, commit_id: int) -> None:
@@ -77,12 +63,16 @@ class GlobalArbiter:
 
 
 class DistributedArbiter:
-    """Per-address-range arbiters plus the G-arbiter front end.
+    """The arbiter front end: per-address-range arbiters plus the G-arbiter.
 
-    Presents the same ``decide`` / ``admit`` / ``release`` surface as the
-    central :class:`~repro.core.arbiter.Arbiter`, with additional routing
-    metadata in the decision so the commit transaction can charge the
-    right message flow (Figure 8a vs 8b).
+    Every BulkSC machine has exactly one.  The distributed topology gives
+    it one range per directory module; the central topology is the
+    one-range case, where every request goes to ``arbiters[0]`` and the
+    G-arbiter is never consulted.  A chunk that touched one range gets
+    that range arbiter's decision unchanged (Figure 8a); a multi-range
+    chunk goes through the G-arbiter, which combines the involved
+    ranges' verdicts (Figure 8b).  Grants are stamped with a *lease*, the
+    per-range epochs of the involved ranges, and releases quote it back.
     """
 
     def __init__(
@@ -104,10 +94,18 @@ class DistributedArbiter:
         self._admitted_ranges: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
-    def ranges_of(self, line_addrs: Set[int]) -> Tuple[int, ...]:
-        """Which address ranges (== directory modules) a chunk touched."""
+    def ranges_of(self, *line_sets: Set[int]) -> Tuple[int, ...]:
+        """Which address ranges (== directory modules) the lines fall in.
+
+        An empty footprint is charged to range 0, like every one-range
+        machine's requests.
+        """
+        if self.num_ranges == 1:
+            return (0,)
         mask = self.num_ranges - 1
-        return tuple(sorted({addr & mask for addr in line_addrs}))
+        return tuple(
+            sorted({addr & mask for lines in line_sets for addr in lines})
+        ) or (0,)
 
     # ------------------------------------------------------------------
     def decide(
@@ -117,52 +115,26 @@ class DistributedArbiter:
         r_sig: Optional[Signature],
         ranges: Sequence[int],
         now: float,
-    ) -> DistributedDecision:
+    ) -> ArbitrationDecision:
         """Arbitrate across the involved ranges."""
-        involved = tuple(ranges) if ranges else (0,)
-        if len(involved) == 1:
-            decision = self.arbiters[involved[0]].decide(proc, w_sig, r_sig, now)
-            return DistributedDecision(
-                granted=decision.granted,
-                needs_r_signature=decision.needs_r_signature,
-                used_g_arbiter=False,
-                involved_ranges=involved,
-                reason=decision.reason,
-            )
+        if len(ranges) == 1:
+            return self.arbiters[ranges[0]].decide(proc, w_sig, r_sig, now)
         self.stats.bump("garbiter.multi_range_requests")
         if self.g_arbiter.fast_deny(r_sig, w_sig):
-            return DistributedDecision(
-                granted=False,
-                needs_r_signature=False,
-                used_g_arbiter=True,
-                involved_ranges=involved,
-                reason="G-arbiter cached W collision",
+            return ArbitrationDecision(
+                False, reason="G-arbiter cached W collision", used_g_arbiter=True
             )
-        decisions = [
-            self.arbiters[r].decide(proc, w_sig, r_sig, now) for r in involved
-        ]
+        decisions = [self.arbiters[r].decide(proc, w_sig, r_sig, now) for r in ranges]
         if any(d.needs_r_signature for d in decisions):
-            return DistributedDecision(
-                granted=False,
-                needs_r_signature=True,
-                used_g_arbiter=True,
-                involved_ranges=involved,
+            return ArbitrationDecision(
+                False, needs_r_signature=True, used_g_arbiter=True
             )
         denied = next((d for d in decisions if not d.granted), None)
         if denied is not None:
-            return DistributedDecision(
-                granted=False,
-                needs_r_signature=False,
-                used_g_arbiter=True,
-                involved_ranges=involved,
-                reason=denied.reason,
+            return ArbitrationDecision(
+                False, reason=denied.reason, used_g_arbiter=True
             )
-        return DistributedDecision(
-            granted=True,
-            needs_r_signature=False,
-            used_g_arbiter=True,
-            involved_ranges=involved,
-        )
+        return ArbitrationDecision(True, used_g_arbiter=True)
 
     # ------------------------------------------------------------------
     def admit(
@@ -174,11 +146,10 @@ class DistributedArbiter:
         now: float,
     ) -> None:
         if w_sig.is_empty():
-            # Parity with the central arbiter: an empty W never enters any
-            # list, so it must not be registered for release routing either
-            # (its release is "unknown" on both topologies).
+            # An empty W never enters any list, so it is not registered for
+            # release routing either (its release is "unknown").
             return
-        involved = tuple(ranges) if ranges else (0,)
+        involved = tuple(ranges)
         for r in involved:
             self.arbiters[r].admit(commit_id, proc, w_sig, now)
         self._admitted_ranges[commit_id] = involved
@@ -187,19 +158,13 @@ class DistributedArbiter:
 
     def lease_for(self, ranges: Sequence[int]) -> Tuple[int, ...]:
         """The per-range epochs a grant over ``ranges`` is stamped with."""
-        involved = tuple(ranges) if ranges else (0,)
-        return tuple(self.arbiters[r].epoch for r in involved)
+        if len(ranges) == 1:
+            return (self.arbiters[ranges[0]].epoch,)
+        return tuple([self.arbiters[r].epoch for r in ranges])
 
     def lease_valid(self, ranges: Sequence[int], lease: Sequence[int]) -> bool:
         """Whether every involved range still serves the leased epoch."""
         return tuple(lease) == self.lease_for(ranges)
-
-    def _per_range_epochs(
-        self, involved: Tuple[int, ...], lease: Optional[Sequence[int]]
-    ) -> Tuple[Optional[int], ...]:
-        if lease is not None and len(lease) == len(involved):
-            return tuple(lease)
-        return (None,) * len(involved)
 
     def release(
         self, commit_id: int, now: float, lease: Optional[Sequence[int]] = None
@@ -207,43 +172,46 @@ class DistributedArbiter:
         """Release across the admitted ranges, quoting each its lease epoch.
 
         The front end never crashes, so an unknown ``commit_id`` here is a
-        real protocol disagreement and honors ``strict_protocol`` exactly
-        like the central arbiter.  Per-range releases pass the lease epoch
-        through so a range whose incarnation died since the grant tolerates
-        the release instead of raising.
+        real protocol disagreement and honors ``strict_protocol``.
+        Per-range releases pass the lease epoch through so a range whose
+        incarnation died since the grant tolerates the release instead of
+        raising.
         """
-        if commit_id not in self._admitted_ranges:
-            self.stats.bump("distarb.released_unknown")
-            if self.config.strict_protocol:
-                raise ProtocolError(
-                    f"release of unknown commit {commit_id} at distributed arbiter"
-                )
-            return
-        involved = self._admitted_ranges.pop(commit_id)
-        for r, epoch in zip(involved, self._per_range_epochs(involved, lease)):
-            self.arbiters[r].release(commit_id, now, epoch=epoch)
-        self.g_arbiter.note_released(commit_id)
+        for arbiter, epoch in self._withdraw(commit_id, lease, "release"):
+            arbiter.release(commit_id, now, epoch=epoch)
 
     def abort(
         self, commit_id: int, now: float, lease: Optional[Sequence[int]] = None
     ) -> None:
-        if commit_id not in self._admitted_ranges:
+        """A granted chunk was abandoned (squash raced the grant)."""
+        for arbiter, epoch in self._withdraw(commit_id, lease, "abort"):
+            arbiter.abort(commit_id, now, epoch=epoch)
+
+    def _withdraw(
+        self, commit_id: int, lease: Optional[Sequence[int]], verb: str
+    ) -> List[Tuple[Arbiter, Optional[int]]]:
+        """Forget ``commit_id``; its range arbiters paired with lease epochs."""
+        involved = self._admitted_ranges.pop(commit_id, None)
+        if involved is None:
             self.stats.bump("distarb.released_unknown")
             if self.config.strict_protocol:
                 raise ProtocolError(
-                    f"abort of unknown commit {commit_id} at distributed arbiter"
+                    f"{verb} of unknown commit {commit_id} at distributed arbiter"
                 )
-            return
-        involved = self._admitted_ranges.pop(commit_id)
-        for r, epoch in zip(involved, self._per_range_epochs(involved, lease)):
-            self.arbiters[r].abort(commit_id, now, epoch=epoch)
+            return []
         self.g_arbiter.note_released(commit_id)
+        epochs = lease if lease is not None else (None,) * len(involved)
+        return [(self.arbiters[r], epoch) for r, epoch in zip(involved, epochs)]
 
     # ------------------------------------------------------------------
     # Pre-arbitration fans out to every range.
     # ------------------------------------------------------------------
     def reserve(self, proc: int) -> bool:
-        if all(a.reserved_by in (None, proc) for a in self.arbiters):
+        """Reserve every range for ``proc``; refused while any range is down."""
+        if all(
+            a.mode is ArbiterMode.NORMAL and a.reserved_by in (None, proc)
+            for a in self.arbiters
+        ):
             for arbiter in self.arbiters:
                 arbiter.reserve(proc)
             return True

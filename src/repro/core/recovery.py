@@ -10,9 +10,9 @@ its acks complete, so a fresh incarnation can rebuild its W-list exactly
 by re-collection.
 
 The :class:`ArbiterRecoveryManager` drives the failover state machine for
-each crashable target (the central arbiter, each range arbiter of a
-:class:`~repro.core.distributed_arbiter.DistributedArbiter`, or the
-G-arbiter's W cache):
+each crashable target (each range arbiter of the machine's
+:class:`~repro.core.distributed_arbiter.DistributedArbiter` front end, or,
+when there is more than one range, the G-arbiter's W cache):
 
 1. **Crash** (``arbiter-crash`` fault): the incarnation's W-list is
    dropped, its epoch is bumped, and it goes DOWN — every request is
@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.arbiter import Arbiter, ArbiterMode
 from repro.core.commit import TxnPhase
-from repro.core.distributed_arbiter import DistributedArbiter
 from repro.errors import ConfigError, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,13 +75,19 @@ class RecoveryEvent:
 
 
 class ArbiterRecoveryManager:
-    """Owns crash application and recovery scheduling for one machine."""
+    """Owns crash application and recovery scheduling for one machine.
+
+    The targets are the front end's range arbiters, ``arbiter0`` …
+    ``arbiter{N-1}``, plus ``global`` (the G-arbiter) when there is more
+    than one range.  A central machine is the one-range case, so its only
+    target is ``arbiter0``.
+    """
 
     def __init__(self, machine: "Machine"):
         self.machine = machine
         self.stats = machine.stats
         self.resilience = machine.config.bulksc.resilience
-        self._distributed = isinstance(machine.arbiter, DistributedArbiter)
+        self.arbiter = machine.arbiter
         self._crash_time: Dict[str, float] = {}
         self._reconstruct_time: Dict[str, float] = {}
         for target in self.crash_targets():
@@ -95,17 +100,17 @@ class ArbiterRecoveryManager:
     # ------------------------------------------------------------------
     def crash_targets(self) -> List[str]:
         """Names the injector may pick for a random arbiter crash."""
-        if self._distributed:
-            names = [f"arbiter{i}" for i in range(self.machine.arbiter.num_ranges)]
-            return names + ["global"]
-        return ["arbiter0"]
+        num_ranges = self.arbiter.num_ranges
+        names = [f"arbiter{i}" for i in range(num_ranges)]
+        return names + ["global"] if num_ranges > 1 else names
 
     def _range_arbiter(self, target: str) -> Optional[Arbiter]:
         """Resolve a target name; ``None`` for the (stateless) G-arbiter."""
+        num_ranges = self.arbiter.num_ranges
         if target == "global":
-            if not self._distributed:
+            if num_ranges == 1:
                 raise ConfigError(
-                    "crash target 'global' needs a distributed arbiter"
+                    "crash target 'global' needs more than one arbiter range"
                 )
             return None
         if not target.startswith("arbiter"):
@@ -114,18 +119,12 @@ class ArbiterRecoveryManager:
             index = int(target[len("arbiter"):])
         except ValueError:
             raise ConfigError(f"unknown crash target {target!r}") from None
-        if self._distributed:
-            if not 0 <= index < self.machine.arbiter.num_ranges:
-                raise ConfigError(
-                    f"crash target {target!r} out of range "
-                    f"(have {self.machine.arbiter.num_ranges} range arbiters)"
-                )
-            return self.machine.arbiter.arbiters[index]
-        if index != 0:
+        if not 0 <= index < num_ranges:
             raise ConfigError(
-                f"crash target {target!r} invalid for a central arbiter"
+                f"crash target {target!r} out of range "
+                f"(have {num_ranges} range arbiters)"
             )
-        return self.machine.arbiter
+        return self.arbiter.arbiters[index]
 
     # ------------------------------------------------------------------
     def crash(self, target: str) -> bool:
@@ -139,7 +138,7 @@ class ArbiterRecoveryManager:
         now = sim.now
         arb = self._range_arbiter(target)
         if arb is None:
-            dropped = self.machine.arbiter.g_arbiter.crash()
+            dropped = self.arbiter.g_arbiter.crash()
             self.stats.bump("recovery.global_crashes")
             epoch = 0  # the cache has no incarnation number
             self._emit(RecoveryEvent(now, "arb.crash", target, epoch,
@@ -187,11 +186,7 @@ class ArbiterRecoveryManager:
                 return
             if txn.phase not in (TxnPhase.GRANT_SENT, TxnPhase.ACKS_PENDING):
                 continue
-            if (
-                self._distributed
-                and txn.ranges is not None
-                and arb.index not in txn.ranges
-            ):
+            if arb.index not in txn.ranges:
                 continue
             if txn.admitted:
                 arb.readmit(txn.commit_id, txn.chunk.proc, txn.chunk.w_sig, now)

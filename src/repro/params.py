@@ -7,7 +7,9 @@ Three dataclasses describe a simulated machine:
 * :class:`BulkSCConfig` — signatures, chunking, and commit arbitration.
 
 :class:`SystemConfig` bundles them with machine-wide parameters (core
-count, directory/arbiter counts) and validates cross-field invariants.
+count, directory count) and validates cross-field invariants.  The
+arbiter topology picks one arbiter range (central) or one per directory
+(distributed).
 The defaults reproduce the paper's simulated 8-core CMP exactly.
 """
 
@@ -58,14 +60,6 @@ class ProcessorConfig:
     int_registers: int = 176
     fp_registers: int = 90
     branch_penalty_cycles: int = 17
-
-    # How far ahead of the stalled retirement point the core can issue
-    # prefetches / speculative loads.  Derived from the instruction window:
-    # an 80-entry window at the paper's ~30% memory-op density exposes
-    # roughly this many instructions of lookahead.
-    @property
-    def overlap_lookahead(self) -> int:
-        return self.instruction_window
 
     def validate(self) -> None:
         if self.issue_width <= 0 or self.commit_width <= 0:
@@ -147,7 +141,6 @@ class SignatureConfig:
 
     size_bits: int = 2048
     num_banks: int = 4  # "Organization: Like in [8]" - banked Bloom filter
-    compressed_bits: int = 350  # transfer encoding size on the network
     exact: bool = False  # BSCexact: magic alias-free signature
     #: Maintain the simulator-only ``_exact`` ground-truth mirror inside
     #: Bloom signatures.  Off by default: the mirror is a Python set
@@ -235,7 +228,6 @@ class BulkSCConfig:
     chunk_size_instructions: int = 1000
     commit_arbitration_latency: int = 30
     max_simultaneous_commits: int = 8
-    num_arbiters: int = 1
     arbiter_topology: ArbiterTopology = ArbiterTopology.CENTRAL
     private_data_mode: PrivateDataMode = PrivateDataMode.NONE
     rsig_optimization: bool = True  # Section 4.2.2, part of the baseline
@@ -269,13 +261,6 @@ class BulkSCConfig:
             raise ConfigError("need at least one chunk per processor")
         if self.chunk_size_instructions < 1:
             raise ConfigError("chunk size must be positive")
-        if self.num_arbiters < 1:
-            raise ConfigError("need at least one arbiter")
-        if (
-            self.arbiter_topology is ArbiterTopology.CENTRAL
-            and self.num_arbiters != 1
-        ):
-            raise ConfigError("central arbiter topology implies num_arbiters=1")
 
 
 @dataclass(frozen=True)
@@ -292,8 +277,6 @@ class BaselineConfig:
     # forcing re-acquisition.  RC never exposes store latency at all
     # (store buffer), which is the paper's SC-vs-RC gap.
     sc_store_exposure_fraction: float = 0.5
-    # RC baseline: speculative execution across fences.
-    rc_speculative_fences: bool = True
     # SC++ [Gniady'99]: Speculative History Queue capacity.
     shiq_entries: int = 2048
     # Cycles to replay one instruction after an SC++ squash.
@@ -347,14 +330,6 @@ class SystemConfig:
             and self.mesh_rows * self.mesh_cols < self.num_processors
         ):
             raise ConfigError("mesh too small for the processor count")
-        if (
-            self.bulksc.arbiter_topology is ArbiterTopology.DISTRIBUTED
-            and self.bulksc.num_arbiters != self.num_directories
-        ):
-            raise ConfigError(
-                "distributed arbiters are co-located with directories; "
-                "num_arbiters must equal num_directories"
-            )
         return self
 
     def with_model(self, model: ConsistencyModelKind) -> "SystemConfig":

@@ -117,9 +117,8 @@ def force_denials(machine, denials: Dict[int, int]) -> None:
     The wrapper turns would-be grants into denials — a response the
     protocol already handles via retry — so commit order is permuted
     without ever forging a grant or touching arbiter bookkeeping
-    (``decide`` is stateless; admission happens separately).  Works for
-    both the central and the distributed arbiter because it rewrites the
-    decision object it got, whatever its dataclass.
+    (``decide`` is stateless; admission happens separately).  It wraps
+    the machine's one arbiter front end, so it works on both topologies.
     """
     arbiter = machine.arbiter
     if arbiter is None:

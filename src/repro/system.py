@@ -6,7 +6,8 @@ configured consistency model:
 * every model gets the event kernel, coherence controller (caches +
   directories + network), global memory image, sync manager, and history;
 * BulkSC additionally gets per-processor BDMs, DirBDMs on each directory,
-  the (central or distributed) arbiter, and the commit engine.
+  the arbiter front end (one address range when central, one per
+  directory when distributed), and the commit engine.
 
 :func:`run_workload` is the one-call entry point used by the examples,
 tests, and benchmark harness.
@@ -25,9 +26,8 @@ from repro.consistency.sc import SCDriver
 from repro.consistency.scpp import SCPPDriver
 from repro.consistency.tso import TSODriver
 from repro.core.bdm import BDM
-from repro.core.chunk import Chunk
+from repro.core.chunk import Chunk, ChunkState
 from repro.core.commit import CommitEngine
-from repro.core.arbiter import Arbiter
 from repro.core.distributed_arbiter import DistributedArbiter
 from repro.core.driver import BulkSCDriver
 from repro.core.recovery import ArbiterRecoveryManager
@@ -229,12 +229,11 @@ class Machine:
             DirBDM(directory, stats=self.stats)
             for directory in self.coherence.directories
         ]
-        if cfg.bulksc.arbiter_topology is ArbiterTopology.DISTRIBUTED:
-            self.arbiter = DistributedArbiter(
-                cfg.bulksc, cfg.num_directories, self.stats
-            )
-        else:
-            self.arbiter = Arbiter(cfg.bulksc, self.stats)
+        # The central topology is the one-range case of the front end.
+        distributed = cfg.bulksc.arbiter_topology is ArbiterTopology.DISTRIBUTED
+        self.arbiter = DistributedArbiter(
+            cfg.bulksc, cfg.num_directories if distributed else 1, self.stats
+        )
         self.commit_engine = CommitEngine(self)
         self.recovery = ArbiterRecoveryManager(self)
         self.fault_injector.crash_handler = self.recovery.crash
@@ -283,12 +282,7 @@ class Machine:
         if self.fault_injector.active:
             lines.append(f"injected faults: {self.fault_injector.summary()}")
         if self.recovery is not None:
-            arbiters = (
-                self.arbiter.arbiters
-                if isinstance(self.arbiter, DistributedArbiter)
-                else [self.arbiter]
-            )
-            for arb in arbiters:
+            for arb in self.arbiter.arbiters:
                 if arb.mode.value != "normal":
                     lines.append(
                         f"arbiter{arb.index}: mode={arb.mode.value} "
@@ -382,6 +376,8 @@ class Machine:
             chunk.private_buffer_lines.discard(line_addr)
             chunk.w_sig.insert(line_addr)
             chunk.true_written_lines.add(line_addr)
+            if chunk.state is ChunkState.ARBITRATING:
+                self.commit_engine.reresolve_ranges(chunk)
         if not matched:
             return
         if image is not None:

@@ -1,5 +1,7 @@
 """Unit-level tests for the commit engine's protocol steps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.chunk import ChunkState
@@ -40,6 +42,19 @@ class TestArbitrationTiming:
             machine.commit_engine.submit(
                 driver._current, at_time=machine.sim.now, on_committed=lambda c: None
             )
+
+
+class TestRangeResolution:
+    def test_central_chunks_are_all_in_range_zero(self):
+        """One range: ``submit`` resolves (0,) whatever lines were touched."""
+        machine = make_machine(replace(bsc_dypvt(), num_directories=2), [[Store(8, 1)]])
+        driver = machine.drivers[0]
+        driver._ensure_chunk()
+        chunk = driver._current
+        chunk.true_written_lines.update({2, 3})
+        chunk.mark(ChunkState.COMPLETE)
+        txn = machine.commit_engine.submit(chunk, 0.0, on_committed=lambda c: None)
+        assert txn.ranges == (0,)
 
 
 class TestCommitAccounting:

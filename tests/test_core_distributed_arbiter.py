@@ -14,9 +14,7 @@ def sig(*lines):
 
 
 def make(num_ranges=4):
-    config = BulkSCConfig(
-        arbiter_topology=ArbiterTopology.DISTRIBUTED, num_arbiters=num_ranges
-    )
+    config = BulkSCConfig(arbiter_topology=ArbiterTopology.DISTRIBUTED)
     return DistributedArbiter(config, num_ranges)
 
 
@@ -95,6 +93,13 @@ class TestReservation:
         arb = make(2)
         assert arb.reserve(1)
         assert not arb.reserve(2)
+
+    def test_reserve_refused_while_a_range_is_down(self):
+        """Like a crashed central arbiter, a down range refuses reservations."""
+        arb = make(2)
+        arb.arbiters[1].crash(0.0)
+        assert not arb.reserve(0)
+        assert all(a.reserved_by is None for a in arb.arbiters)
 
 
 def test_requires_at_least_one_range():

@@ -135,12 +135,6 @@ class TestGlobalArbiterFastDeny:
         g.note_granted(1, sig(10))
         assert not g.fast_deny(sig(3), sig(4))
 
-    def test_cache_disabled_never_denies(self):
-        g = GlobalArbiter(cache_w=False)
-        g.note_granted(1, sig(10))
-        assert not g.fast_deny(None, sig(10))
-        assert g.stats.value("garbiter.fast_denies") == 0
-
     def test_released_entry_no_longer_denies(self):
         """A stale cached W must not fast-deny after note_released."""
         g = GlobalArbiter()
@@ -163,7 +157,6 @@ class TestGlobalArbiterFastDeny:
 def make_distributed(num_ranges=4, strict=False):
     config = BulkSCConfig(
         arbiter_topology=ArbiterTopology.DISTRIBUTED,
-        num_arbiters=num_ranges,
         strict_protocol=strict,
     )
     return DistributedArbiter(config, num_ranges)
@@ -276,9 +269,7 @@ def distributed_config(seed=0, num_dirs=4):
     from dataclasses import replace
 
     cfg = replace(bsc_dypvt(seed=seed), num_directories=num_dirs)
-    return cfg.with_bulksc(
-        arbiter_topology=ArbiterTopology.DISTRIBUTED, num_arbiters=num_dirs
-    ).validate()
+    return cfg.with_bulksc(arbiter_topology=ArbiterTopology.DISTRIBUTED).validate()
 
 
 class TestDistributedCrash:

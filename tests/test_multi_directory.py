@@ -6,18 +6,20 @@ import pytest
 
 from repro.cpu.isa import Compute, Load, Store
 from repro.cpu.thread import ThreadProgram
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.memory.address import AddressMap, AddressSpace
 from repro.params import ArbiterTopology, bsc_dypvt, rc_config
+from repro.replay.workload import build_workload, litmus_spec
 from repro.system import Machine, run_workload
 from repro.verify.sc_checker import check_sequential_consistency
+from test_interpreter_equivalence import _run_digest
 
 
 def multi_dir_config(num_dirs=4, distributed=False, seed=0):
     cfg = replace(bsc_dypvt(seed=seed), num_directories=num_dirs)
     if distributed:
-        cfg = cfg.with_bulksc(
-            arbiter_topology=ArbiterTopology.DISTRIBUTED, num_arbiters=num_dirs
-        )
+        cfg = cfg.with_bulksc(arbiter_topology=ArbiterTopology.DISTRIBUTED)
     return cfg.validate()
 
 
@@ -106,6 +108,69 @@ class TestDistributedArbiter:
         )
         assert central.registers[0] == distributed.registers[0]
         assert central.memory.nonzero_words() == distributed.memory.nonzero_words()
+
+
+class TestAddBackWhileArbitrating:
+    """A Private Buffer add-back (Section 5.2) can grow the W of a chunk
+    that is already arbitrating; its ranges must follow."""
+
+    def test_serialized_ranges_cover_the_grown_w(self):
+        cfg = multi_dir_config(2, distributed=True)
+        cfg = cfg.with_bulksc(chunk_size_instructions=80)
+        owner = [op for i in range(1, 25) for op in (Store(8, i), Compute(30))]
+        widened = []
+        for delay in range(400, 480, 8):
+            prober = [Compute(delay), Load("r", 8), Compute(10)]
+            machine = Machine(
+                cfg, [ThreadProgram(owner), ThreadProgram(prober)], make_space(cfg)
+            )
+            engine = machine.commit_engine
+            resolve = engine.reresolve_ranges
+
+            def counting_resolve(chunk, resolve=resolve):
+                widened.append(chunk)
+                resolve(chunk)
+
+            engine.reresolve_ranges = counting_resolve
+
+            def check(ev, p, *payload):
+                if ev == "commit.serialize":
+                    (txn,) = payload
+                    chunk = txn.chunk
+                    assert txn.ranges == machine.arbiter.ranges_of(
+                        chunk.true_written_lines, chunk.true_read_lines
+                    )
+
+            machine.subscribe(check)
+            result = machine.run()
+            assert check_sequential_consistency(result.history).ok
+        assert widened
+
+
+class TestCentralIsOneRangeDistributed:
+    """The central arbiter is the one-range case of the distributed one."""
+
+    @staticmethod
+    def _run(topology, plan, test_name):
+        config = bsc_dypvt(seed=0).with_bulksc(
+            arbiter_topology=topology, chunk_size_instructions=4
+        )
+        programs, space, __ = build_workload(litmus_spec(test_name, (1, 60)), config)
+        injector = FaultInjector(FaultPlan.parse(plan, rate=0.05), seed=7, label="one")
+        result = run_workload(
+            config, programs, space, record_history=True, fault_injector=injector
+        )
+        return _run_digest(result), injector.crashes_fired
+
+    @pytest.mark.parametrize(
+        "plan", ["", "arbiter-crash"], ids=["fault-free", "arbiter-crash"]
+    )
+    @pytest.mark.parametrize("test_name", ["MP", "IRIW"])
+    def test_identical_fingerprints(self, plan, test_name):
+        central = self._run(ArbiterTopology.CENTRAL, plan, test_name)
+        one_range = self._run(ArbiterTopology.DISTRIBUTED, plan, test_name)
+        assert central == one_range
+        assert (central[1] > 0) == bool(plan)
 
 
 class TestBaselinesWithMultipleDirectories:

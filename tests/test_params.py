@@ -1,16 +1,22 @@
 """Tests for configuration: Table 2 defaults and validation."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigError
 from repro.params import (
     ArbiterTopology,
+    BaselineConfig,
+    BulkSCConfig,
     CacheGeometry,
     ConsistencyModelKind,
     NAMED_CONFIGS,
     PrivateDataMode,
+    ResilienceConfig,
     SignatureConfig,
     SystemConfig,
     bsc_base,
@@ -64,7 +70,7 @@ class TestTable2Defaults:
         assert bulk.chunk_size_instructions == 1000
         assert bulk.commit_arbitration_latency == 30
         assert bulk.max_simultaneous_commits == 8
-        assert bulk.num_arbiters == 1
+        assert bulk.arbiter_topology is ArbiterTopology.CENTRAL
 
 
 class TestNamedConfigs:
@@ -116,19 +122,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SignatureConfig(size_bits=2048, num_banks=3).validate()
 
-    def test_distributed_arbiters_must_match_directories(self):
-        cfg = paper_config()
-        bad = replace(
-            cfg,
-            bulksc=replace(
-                cfg.bulksc,
-                arbiter_topology=ArbiterTopology.DISTRIBUTED,
-                num_arbiters=4,
-            ),
-        )
-        with pytest.raises(ConfigError):
-            bad.validate()
-
     def test_distributed_arbiters_valid_when_matching(self):
         cfg = replace(paper_config(), num_directories=4)
         good = replace(
@@ -136,16 +129,9 @@ class TestValidation:
             bulksc=replace(
                 cfg.bulksc,
                 arbiter_topology=ArbiterTopology.DISTRIBUTED,
-                num_arbiters=4,
             ),
         )
         good.validate()
-
-    def test_central_topology_requires_single_arbiter(self):
-        cfg = paper_config()
-        bad = replace(cfg, bulksc=replace(cfg.bulksc, num_arbiters=2))
-        with pytest.raises(ConfigError):
-            bad.validate()
 
     def test_zero_processors_rejected(self):
         with pytest.raises(ConfigError):
@@ -169,3 +155,26 @@ class TestConfigHelpers:
 
     def test_words_per_line(self):
         assert paper_config().memory.words_per_line == 8
+
+
+class TestNoDeadKnobs:
+    """Every option is read by the simulator, not only validated."""
+
+    @pytest.mark.parametrize(
+        "config_cls",
+        [SystemConfig, BulkSCConfig, SignatureConfig, BaselineConfig, ResilienceConfig],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_every_field_is_read_outside_params(self, config_cls):
+        package = Path(repro.__file__).parent
+        source = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(package.rglob("*.py"))
+            if path != package / "params.py"
+        )
+        unread = [
+            f.name
+            for f in fields(config_cls)
+            if not re.search(rf"\.{f.name}\b", source)
+        ]
+        assert not unread, f"{config_cls.__name__} fields never read: {unread}"

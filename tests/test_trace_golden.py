@@ -85,7 +85,7 @@ def crash_pin() -> dict:
 def distributed_config():
     config = replace(bsc_dypvt(seed=0), num_directories=2)
     return config.with_bulksc(
-        arbiter_topology=ArbiterTopology.DISTRIBUTED, num_arbiters=2
+        arbiter_topology=ArbiterTopology.DISTRIBUTED
     ).validate()
 
 
