@@ -6,7 +6,8 @@ Commands:
   report (optionally JSON).
 * ``compare`` — run one application under several configurations and
   print speedups normalized to the first.
-* ``litmus`` — run the litmus suite under a configuration.
+* ``litmus`` — run the litmus suite under a configuration; exits 1 if
+  a model that guarantees SC shows a forbidden outcome.
 * ``chaos`` — fault-injection campaigns against the commit pipeline.
 * ``analyze`` — static analysis: conflict graphs, races, SC-outcome
   enumeration, and the determinism lint (no simulation).
@@ -39,7 +40,7 @@ from typing import List, Optional
 from repro.harness.experiments import figure9, figure10, figure11, table3, table4
 from repro.harness.metrics import speedup_over
 from repro.harness.runner import ALL_APPS, SweepRunner, build_app_workload
-from repro.params import NAMED_CONFIGS
+from repro.params import NAMED_CONFIGS, ConsistencyModelKind
 from repro.system import run_workload
 from repro.tools.report import summarize_run
 
@@ -123,6 +124,13 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
     if config_factory is None:
         print(f"unknown configuration {args.config!r}", file=sys.stderr)
         return 2
+    # RC and TSO may legally show SC-forbidden outcomes; every other
+    # model guarantees SC, so any forbidden outcome or witness failure
+    # under it is a simulator bug.
+    relaxed = config_factory().model in (
+        ConsistencyModelKind.RC,
+        ConsistencyModelKind.TSO,
+    )
     print(f"litmus under {args.config}:")
     exit_code = 0
     for test in all_litmus_tests():
@@ -141,6 +149,8 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
             f"  {test.name:6s} forbidden {forbidden:2d}/{runs}   "
             f"witness failures {failures:2d}/{runs}"
         )
+        if (forbidden or failures) and not relaxed:
+            exit_code = 1
     return exit_code
 
 

@@ -22,6 +22,7 @@ import json
 import sys
 
 from repro.errors import CampaignError, ReproError
+from repro.params import CERTIFY_MAX_EVENTS
 
 
 def _progress(message: str) -> None:
@@ -221,7 +222,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
     p_run.add_argument(
         "--max-events",
         type=int,
-        default=2_000_000,
+        default=CERTIFY_MAX_EVENTS,
         help="per-cell event budget (livelock abort)",
     )
     _add_exec_flags(p_run)

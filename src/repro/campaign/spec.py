@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError, ConfigError
 from repro.faults.plan import CrashPoint, FaultPlan
+from repro.params import CERTIFY_MAX_EVENTS
 from repro.replay.workload import QUICK_LITMUS_STAGGERS
 
 SPEC_VERSION = 1
@@ -236,7 +237,7 @@ class CampaignSpec:
     seeds: Tuple[int, ...] = (0,)
     faults: Tuple[FaultVariant, ...] = (FaultVariant(),)
     instructions: int = 2000
-    max_events: int = 2_000_000
+    max_events: int = CERTIFY_MAX_EVENTS
 
     def validate(self) -> "CampaignSpec":
         from repro.params import NAMED_CONFIGS
@@ -336,7 +337,7 @@ class CampaignSpec:
                     FaultVariant.from_obj(v) for v in obj.get("faults", [{}])
                 ),
                 instructions=int(obj.get("instructions", 2000)),
-                max_events=int(obj.get("max_events", 2_000_000)),
+                max_events=int(obj.get("max_events", CERTIFY_MAX_EVENTS)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CampaignError(f"malformed campaign spec: {exc!r}") from exc
@@ -351,7 +352,7 @@ class CampaignSpec:
         seeds: str = "0:1",
         fault_args: Sequence[str] = ("none",),
         instructions: int = 2000,
-        max_events: int = 2_000_000,
+        max_events: int = CERTIFY_MAX_EVENTS,
     ) -> "CampaignSpec":
         """Build a spec from CLI shorthands."""
         workloads: List[dict] = []

@@ -15,8 +15,6 @@ from repro.cpu.isa import (
     Barrier,
     Io,
     LockAcquire,
-    Op,
-    OpKind,
     SpinUntil,
     resolve_operand,
 )
@@ -220,27 +218,6 @@ class BaselineDriver(ProcessorDriver):
         thread.finished = pc >= self._stream.length
         self.window.retire_cursor = cursor
         self.window.ring_instructions = win_instr
-
-    def execute_op(self, op: Op) -> bool:
-        """Execute one sync op: acquire, barrier, flag spin or I/O.
-
-        :meth:`_run_until` lowers these to ``K_SLOW``; every other op kind
-        runs in the loop.
-        """
-        kind = op.kind
-        if kind is OpKind.ACQUIRE:
-            assert isinstance(op, LockAcquire)
-            return self._handle_acquire(op)
-        if kind is OpKind.BARRIER:
-            assert isinstance(op, Barrier)
-            return self._handle_barrier(op)
-        if kind is OpKind.SPIN_UNTIL:
-            assert isinstance(op, SpinUntil)
-            return self._handle_spin(op)
-        if kind is OpKind.IO:
-            assert isinstance(op, Io)
-            return self._handle_io(op)
-        raise ProgramError(f"{kind} runs in the op-stream loop, not execute_op")
 
     # ------------------------------------------------------------------
     # Hooks each model implements (the window holds the current cursor)

@@ -25,9 +25,8 @@ from repro.core.chunk import Chunk
 from repro.core.private_data import PrivateBuffer
 from repro.engine.stats import StatsRegistry
 from repro.memory.cache import SetAssocCache
-from repro.signatures.base import Signature
+from repro.signatures.base import Signature, collides
 from repro.signatures.factory import SignatureFactory
-from repro.signatures.ops import collides_fast
 
 
 class BDM:
@@ -83,14 +82,14 @@ class BDM:
         The predicate is ``(Wc ∩ R) ∪ (Wc ∩ W) ≠ ∅``; the W∩W term handles
         partial cache-line updates.  Only *active* chunks participate —
         granted chunks are already serialized by the arbiter.  Uses the
-        allocation-free :func:`~repro.signatures.ops.collides_fast`
+        allocation-free :func:`~repro.signatures.base.collides`
         kernel — one packed AND per term, no intermediate signatures.
         """
         colliding: List[Chunk] = []
         for chunk in self.chunks:
             if not chunk.is_active:
                 continue
-            if collides_fast(w_commit, chunk.r_sig, chunk.w_sig):
+            if collides(w_commit, chunk.r_sig, chunk.w_sig):
                 colliding.append(chunk)
         return colliding
 

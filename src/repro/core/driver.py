@@ -25,7 +25,7 @@ from repro.core.chunk import Chunk, ChunkState
 from repro.core.chunking import ChunkingPolicy
 from repro.cpu.checkpoint import Checkpoint
 from repro.cpu.driver import DriverState, ProcessorDriver
-from repro.cpu.isa import Barrier, Io, LockAcquire, Op, OpKind, SpinUntil, resolve_operand
+from repro.cpu.isa import Barrier, Io, LockAcquire, SpinUntil, resolve_operand
 from repro.cpu.opstream import K_COMPUTE, K_FENCE, K_LOAD, K_SLOW, V_LIT, stream_for
 from repro.errors import ProgramError, SimulationError, StarvationError
 from repro.interconnect.network import Network
@@ -90,10 +90,9 @@ class BulkSCDriver(ProcessorDriver):
             if len(directories) == 1
             else lambda line: machine.coherence.home_directory(line).peek(line)
         )
-        # Bloom signatures without the exact mirror take packed masks;
-        # exact and mirror-tracking ones go through insert/member.
-        sig_config = self.config.signature
-        self._masked = not sig_config.exact and not sig_config.track_exact
+        # Bloom signatures take packed masks; exact ones go through
+        # insert/member.
+        self._masked = not self.config.signature.exact
         # line -> packed Bloom insert mask for this machine's geometry.
         self._mask_memo: dict = {}
         # line -> statically private to this processor (Section 5.1).
@@ -450,29 +449,6 @@ class BulkSCDriver(ProcessorDriver):
             self.stats.bump(f"proc{self.proc}.reservation_yields")
         return False
 
-    def execute_op(self, op: Op) -> bool:
-        """Execute one sync op: acquire, barrier, flag spin or I/O.
-
-        :meth:`_run_until` lowers these to ``K_SLOW`` and calls here once
-        the current chunk exists and is under its size target; every
-        other op kind runs inline in the loop.
-        """
-        self._block_reason = None
-        kind = op.kind
-        if kind is OpKind.ACQUIRE:
-            assert isinstance(op, LockAcquire)
-            return self._handle_acquire(op)
-        if kind is OpKind.BARRIER:
-            assert isinstance(op, Barrier)
-            return self._handle_barrier(op)
-        if kind is OpKind.SPIN_UNTIL:
-            assert isinstance(op, SpinUntil)
-            return self._handle_spin(op)
-        if kind is OpKind.IO:
-            assert isinstance(op, Io)
-            return self._handle_io(op)
-        raise ProgramError(f"{kind} runs in the op-stream loop, not execute_op")
-
     def _run_until(self, batch_end: float) -> None:
         """Run the op stream until the cursor passes ``batch_end``.
 
@@ -572,6 +548,7 @@ class BulkSCDriver(ProcessorDriver):
                 continue
             if kind == k_slow:
                 spill(pc, retired, cursor, win_instr, chunk_instr)
+                self._block_reason = None
                 if not self.execute_op(thread.program[pc]):
                     self.state = DriverState.BLOCKED
                     return

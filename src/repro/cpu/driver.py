@@ -19,10 +19,10 @@ from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Optional, TYPE_CHECKING
 
-from repro.cpu.isa import Op
+from repro.cpu.isa import Barrier, Io, LockAcquire, Op, OpKind, SpinUntil
 from repro.cpu.thread import ThreadContext
 from repro.cpu.window import RetirementWindow
-from repro.errors import SimulationError
+from repro.errors import ProgramError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import Machine
@@ -131,13 +131,44 @@ class ProcessorDriver(ABC):
     # ------------------------------------------------------------------
     # Model interface
     # ------------------------------------------------------------------
-    @abstractmethod
     def execute_op(self, op: Op) -> bool:
         """Execute one sync op (``K_SLOW``) at the current retirement cursor.
 
+        Dispatches acquire, barrier, flag spin and I/O to the model's
+        ``_handle_*`` hook; every other op kind runs in the run loop.
         Returns True to consume the op and continue, False to block on it
         (the model must arrange a later wake-up).
         """
+        kind = op.kind
+        if kind is OpKind.ACQUIRE:
+            assert isinstance(op, LockAcquire)
+            return self._handle_acquire(op)
+        if kind is OpKind.BARRIER:
+            assert isinstance(op, Barrier)
+            return self._handle_barrier(op)
+        if kind is OpKind.SPIN_UNTIL:
+            assert isinstance(op, SpinUntil)
+            return self._handle_spin(op)
+        if kind is OpKind.IO:
+            assert isinstance(op, Io)
+            return self._handle_io(op)
+        raise ProgramError(f"{kind} runs in the op-stream loop, not execute_op")
+
+    @abstractmethod
+    def _handle_acquire(self, op: LockAcquire) -> bool:
+        """Acquire a lock; False blocks until it may be retried."""
+
+    @abstractmethod
+    def _handle_barrier(self, op: Barrier) -> bool:
+        """Arrive at a barrier; False blocks until it releases."""
+
+    @abstractmethod
+    def _handle_spin(self, op: SpinUntil) -> bool:
+        """Read a flag; False blocks until it may hold the awaited value."""
+
+    @abstractmethod
+    def _handle_io(self, op: Io) -> bool:
+        """An uncached I/O access, ordered with everything."""
 
     def on_program_end(self) -> bool:
         """Hook: flush model state (store buffers, final chunk commit).

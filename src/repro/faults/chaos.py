@@ -35,10 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultRecord
 from repro.faults.plan import CrashPoint, FaultPlan
-
-#: Event budget per chaos run — small enough to abort a genuine livelock
-#: quickly, large enough that backoff/retry storms still converge.
-CHAOS_MAX_EVENTS = 2_000_000
+from repro.params import CERTIFY_MAX_EVENTS as CHAOS_MAX_EVENTS
 
 
 @dataclass

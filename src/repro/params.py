@@ -19,6 +19,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from repro.errors import ConfigError
 
+#: Event budget of one certification run (chaos run, campaign cell,
+#: recorded, replayed or explored run): small enough to abort a genuine
+#: livelock quickly, large enough that backoff/retry storms still converge.
+CERTIFY_MAX_EVENTS = 2_000_000
+
 
 class ConsistencyModelKind(Enum):
     """Which consistency enforcement scheme a simulation runs."""
@@ -142,13 +147,6 @@ class SignatureConfig:
     size_bits: int = 2048
     num_banks: int = 4  # "Organization: Like in [8]" - banked Bloom filter
     exact: bool = False  # BSCexact: magic alias-free signature
-    #: Maintain the simulator-only ``_exact`` ground-truth mirror inside
-    #: Bloom signatures.  Off by default: the mirror is a Python set
-    #: shadowing every insert/intersect, needed only when verify/stats
-    #: code wants per-signature aliasing ground truth.  The aliasing
-    #: statistics of Tables 3/4 come from the chunks' true line sets and
-    #: do not require it.
-    track_exact: bool = False
 
     @property
     def bits_per_bank(self) -> int:

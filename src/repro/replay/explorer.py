@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.outcomes import enumerate_sc_outcomes
 from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError, ReproError
-from repro.params import NAMED_CONFIGS
+from repro.params import CERTIFY_MAX_EVENTS, NAMED_CONFIGS
 from repro.replay.workload import (
     LITMUS_STAGGERS,
     QUICK_LITMUS_STAGGERS,
@@ -37,9 +37,6 @@ from repro.replay.workload import (
 )
 from repro.verify.litmus import all_litmus_tests
 from repro.verify.sc_checker import check_sequential_consistency
-
-#: Event budget per exploration run.
-EXPLORE_MAX_EVENTS = 2_000_000
 
 _StateKey = Tuple[tuple, tuple]
 
@@ -234,7 +231,7 @@ def explore(
             if denials:
                 force_denials(machine, denials)
             try:
-                run = machine.run(max_events=EXPLORE_MAX_EVENTS)
+                run = machine.run(max_events=CERTIFY_MAX_EVENTS)
             except ReproError as exc:
                 result.errors.append(
                     f"{run_label}: {type(exc).__name__}: {exc}"

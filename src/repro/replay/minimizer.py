@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.params import CERTIFY_MAX_EVENTS
 from repro.replay.recorder import RecordedRun, record_run
 from repro.replay.schema import Trace
 
@@ -140,7 +141,7 @@ class _Minimizer:
             seed=self.header["seed"],
             no_retry=bool(faults_meta.get("no_retry")),
             fault_script=_script_from(entries),
-            max_events=self.header.get("max_events") or 2_000_000,
+            max_events=self.header.get("max_events") or CERTIFY_MAX_EVENTS,
             kind=kind,
         )
 

@@ -40,17 +40,14 @@ from repro.faults.injector import (
     ScriptedFaultInjector,
 )
 from repro.faults.plan import CrashPoint, FaultPlan, crash_script_from
-from repro.params import NAMED_CONFIGS
+from repro.params import CERTIFY_MAX_EVENTS, NAMED_CONFIGS
 from repro.replay.schema import MAX_RECORDS, Trace, TraceRecord, make_header
 from repro.replay.workload import build_workload, workload_name
+from repro.signatures.base import collides
 from repro.verify.sc_checker import check_sequential_consistency
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import Machine, RunResult
-
-#: Event budget for recorded runs — matches the chaos harness: small
-#: enough to abort genuine livelocks, generous for retry storms.
-DEFAULT_MAX_EVENTS = 2_000_000
 
 
 def chunk_record_data(ev: str, chunk, detail: str = "") -> Dict[str, object]:
@@ -172,15 +169,13 @@ class TraceRecorder:
         # the victim's active chunks, and the ground-truth line
         # intersection.  A BDM that under-reports (or a filter that hides
         # a true conflict) is then visible in the trace itself.
-        from repro.signatures.ops import collides_fast
-
         chunk = txn.chunk
         sig_conflicts = []
         true_conflicts = []
         for local in self.machine.bdms[proc].active_chunks():
             if not local.is_active:
                 continue
-            if collides_fast(chunk.w_sig, local.r_sig, local.w_sig):
+            if collides(chunk.w_sig, local.r_sig, local.w_sig):
                 sig_conflicts.append(local.chunk_id)
             touched = local.true_read_lines | local.true_written_lines
             if touched & chunk.true_written_lines:
@@ -331,7 +326,7 @@ def record_run(
     injector_seed: Optional[int] = None,
     injector_label: Optional[str] = None,
     fault_script: Optional[dict] = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
+    max_events: int = CERTIFY_MAX_EVENTS,
     kind: str = "run",
     crashes: Optional[List[str]] = None,
 ) -> RecordedRun:
@@ -439,6 +434,7 @@ def record_chaos_failure(report) -> Optional[RecordedRun]:
         injector_label=run.repro["injector_label"],
         kind="chaos",
         crashes=list(getattr(report, "crashes_spelling", ()) or ()) or None,
+        max_events=CERTIFY_MAX_EVENTS,
     )
 
 

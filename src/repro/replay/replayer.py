@@ -24,11 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.replay.recorder import (
-    DEFAULT_MAX_EVENTS,
-    RecordedRun,
-    record_run,
-)
+from repro.params import CERTIFY_MAX_EVENTS
+from repro.replay.recorder import RecordedRun, record_run
 from repro.replay.schema import Trace, TraceRecord
 
 #: Footer keys compared field-by-field after the record streams match.
@@ -125,7 +122,7 @@ def replay_trace(trace: Trace) -> ReplayResult:
         injector_seed=(header.get("faults") or {}).get("injector_seed"),
         injector_label=(header.get("faults") or {}).get("injector_label"),
         fault_script=header.get("fault_script"),
-        max_events=header.get("max_events") or DEFAULT_MAX_EVENTS,
+        max_events=header.get("max_events") or CERTIFY_MAX_EVENTS,
         kind=header["kind"],
         crashes=header.get("crashes"),
     )

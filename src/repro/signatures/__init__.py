@@ -5,31 +5,21 @@ implementations share one interface:
 
 * :class:`~repro.signatures.bloom.BloomSignature` — the hardware-faithful
   banked Bloom filter (~2 Kbit, permute-based hashing) used by every BulkSC
-  configuration except BSCexact.
+  configuration except BSCexact.  It holds only its packed ``bits``.
 * :class:`~repro.signatures.exact.ExactSignature` — a "magic" alias-free
   signature used to isolate the cost of aliasing (BSCexact in the paper).
 
 The primitive operations of Figure 2(b) — intersection, union, emptiness,
-membership, and decoding into cache sets — are methods on the signatures,
-with functional wrappers in :mod:`repro.signatures.ops`.
+membership, and decoding into cache sets — are methods on the signatures.
+The disambiguation predicate built from them is
+:func:`~repro.signatures.base.collides`.
 """
 
-from repro.signatures.base import Signature
+from repro.signatures.base import Signature, collides
 from repro.signatures.bloom import INDEX_CACHE, BloomSignature, IndexCache
 from repro.signatures.compression import compressed_size_bits, compressed_size_bytes
 from repro.signatures.exact import ExactSignature
 from repro.signatures.factory import SignatureFactory
-from repro.signatures.ops import (
-    collides,
-    collides_fast,
-    disjoint,
-    expand_into_sets,
-    intersect,
-    intersects,
-    is_empty,
-    member,
-    union,
-)
 
 __all__ = [
     "Signature",
@@ -38,15 +28,7 @@ __all__ = [
     "SignatureFactory",
     "IndexCache",
     "INDEX_CACHE",
-    "intersect",
-    "intersects",
-    "union",
-    "is_empty",
-    "member",
-    "disjoint",
     "collides",
-    "collides_fast",
-    "expand_into_sets",
     "compressed_size_bits",
     "compressed_size_bytes",
 ]

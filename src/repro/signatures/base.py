@@ -1,15 +1,20 @@
-"""Common interface for address signatures."""
+"""Common interface for address signatures, and the disambiguation predicate.
+
+A signature is its encoding: the packed bits of a Bloom filter, or the
+precise set of an alias-free signature.  The simulator's aliasing ground
+truth lives in the chunks' ``true_*_lines`` sets, not in the signatures.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Iterable, List, Set
+from typing import Iterable, List, Set
 
 
 class Signature(ABC):
     """A superset encoding of a set of cache-line addresses.
 
-    Mutating methods (:meth:`insert`, :meth:`clear`, :meth:`union_update`)
+    Mutating methods (:meth:`insert`, :meth:`insert_many`, :meth:`clear`)
     are used while a chunk accumulates accesses; the functional operations
     (:meth:`intersect`, :meth:`union`) return new signatures and model the
     BDM's combinational signature units.
@@ -29,9 +34,6 @@ class Signature(ABC):
     @abstractmethod
     def clear(self) -> None:
         """Reset to the empty signature."""
-
-    def insert_all(self, line_addrs: Iterable[int]) -> None:
-        self.insert_many(line_addrs)
 
     # -- array operations -----------------------------------------------------
     # Whole-address-array forms of insert/member.  The base versions are
@@ -53,10 +55,6 @@ class Signature(ABC):
         """The subsequence of ``line_addrs`` the signature may contain."""
         member = self.member
         return [addr for addr in line_addrs if member(addr)]
-
-    @abstractmethod
-    def union_update(self, other: "Signature") -> None:
-        """In-place union (bitwise OR for Bloom signatures)."""
 
     # -- functional operations (Figure 2b) ----------------------------------
     @abstractmethod
@@ -84,14 +82,6 @@ class Signature(ABC):
         whole structure.
         """
 
-    @abstractmethod
-    def copy(self) -> "Signature":
-        """Deep copy; used when a chunk hands its signatures to the arbiter."""
-
-    @abstractmethod
-    def empty_like(self) -> "Signature":
-        """A new empty signature with this signature's geometry."""
-
     # -- fast predicates (allocation-free disambiguation) --------------------
     def disjoint(self, other: "Signature") -> bool:
         """True iff ``self ∩ other`` is provably empty.
@@ -104,17 +94,19 @@ class Signature(ABC):
         """
         return self.intersect(other).is_empty()
 
-    # -- convenience ---------------------------------------------------------
-    def intersects(self, other: "Signature") -> bool:
-        """True iff ``self ∩ other`` might be non-empty."""
-        return not self.disjoint(other)
 
-    # -- introspection (for stats; not available to 'hardware') -------------
-    @abstractmethod
-    def exact_members(self) -> FrozenSet[int]:
-        """The precise set of inserted addresses.
+def collides(w_commit: Signature, r_local: Signature, w_local: Signature) -> bool:
+    """The bulk-disambiguation predicate from Section 2.2.
 
-        This is *simulator-only* bookkeeping used to measure aliasing
-        (false positives, unnecessary lookups) for the paper's Tables 3-4;
-        the modeled hardware never reads it.
-        """
+    A local chunk collides with a committing chunk C when::
+
+        (W_C ∩ R_L) ∪ (W_C ∩ W_L) ≠ ∅
+
+    The W ∩ W term is required because a store updates only part of a cache
+    line, so two writers of one line must not commit concurrently.  Both
+    terms go through the allocation-free :meth:`Signature.disjoint`
+    kernel, R first, so no intermediate signature is built per check.
+    """
+    if not w_commit.disjoint(r_local):
+        return True
+    return not w_commit.disjoint(w_local)

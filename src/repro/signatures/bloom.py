@@ -37,18 +37,14 @@ bit per bank) so insert and membership are one OR / one AND-compare.
 the packed words and early-exits on the first all-zero bank, never
 materializing an intermediate signature.
 
-The ``_exact`` ground-truth mirror (a Python set shadowing every insert,
-used only for aliasing statistics) is **opt-in**: signatures built by a
-:class:`~repro.signatures.factory.SignatureFactory` carry bits only
-unless the configuration asks for the mirror, so default simulations pay
-no per-insert set maintenance.  Directly constructed signatures keep the
-mirror on for unit tests and interactive use.
+A signature holds nothing but ``bits``: the simulator's aliasing ground
+truth (Tables 3-4) is the chunks' ``true_*_lines`` sets.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.signatures.base import Signature
 
@@ -78,9 +74,7 @@ class IndexCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: "OrderedDict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Tuple[int, int, int], int]" = OrderedDict()
 
     def get(self, key):
         entry = self._entries.get(key)
@@ -125,7 +119,7 @@ class IndexCache:
 
 
 #: Memoized per-geometry hash results:
-#: (num_banks, index_bits, line) -> (packed insert mask, per-bank indices).
+#: (num_banks, index_bits, line) -> packed insert mask.
 INDEX_CACHE = IndexCache()
 
 
@@ -138,12 +132,9 @@ class BloomSignature(Signature):
         "_index_bits",
         "_bank_mask",
         "bits",
-        "_exact",
     )
 
-    def __init__(
-        self, size_bits: int = 2048, num_banks: int = 4, track_exact: bool = True
-    ):
+    def __init__(self, size_bits: int = 2048, num_banks: int = 4):
         if size_bits % num_banks:
             raise ValueError("size_bits must divide evenly into banks")
         self.num_banks = num_banks
@@ -155,11 +146,8 @@ class BloomSignature(Signature):
         #: All banks packed into one int (bank i at bit offset
         #: i*bits_per_bank).  Public so batch producers can OR in masks
         #: from :meth:`mask_of` / :meth:`masks_of` without a call per
-        #: address; that skips the exact mirror, so only when
-        #: :attr:`tracks_exact` is False.
+        #: address.
         self.bits = 0
-        # Simulator-only ground truth for aliasing statistics (opt-in).
-        self._exact: Optional[Set[int]] = set() if track_exact else None
 
     # -- hashing ---------------------------------------------------------
     def _fold(self, line_addr: int) -> int:
@@ -171,43 +159,33 @@ class BloomSignature(Signature):
             extra >>= _FOLD_BITS
         return folded
 
-    def _hash(self, line_addr: int) -> Tuple[int, Tuple[int, ...]]:
-        """(packed one-bit-per-bank mask, per-bank indices) — memoized."""
+    def mask_of(self, line_addr: int) -> int:
+        """Packed insert mask of one address (one bit per bank), memoized.
+
+        ``sig.bits |= mask`` inserts the address and ``(sig.bits & mask)
+        == mask`` is its membership test; the mask depends only on the
+        geometry, so callers may memoize it per address.
+        """
         key = (self.num_banks, self._index_bits, line_addr)
-        cached = INDEX_CACHE.get(key)
-        if cached is not None:
-            return cached
+        mask = INDEX_CACHE.get(key)
+        if mask is not None:
+            return mask
         addr = self._fold(line_addr)
         banks = self.num_banks
         bpb = self.bits_per_bank
-        indices = []
         mask = 0
         for bank in range(banks):
             index = 0
             for j in range(self._index_bits):
                 index |= ((addr >> (bank + banks * j)) & 1) << j
-            indices.append(index)
             mask |= 1 << (bank * bpb + index)
-        result = (mask, tuple(indices))
-        INDEX_CACHE.put(key, result)
-        return result
-
-    def _bank_indices(self, line_addr: int) -> Tuple[int, ...]:
-        """Per-bank bit indices for ``line_addr`` (memoized)."""
-        return self._hash(line_addr)[1]
-
-    def _bank_index(self, bank: int, line_addr: int) -> int:
-        """Gather address bits ``bank, bank+B, bank+2B, ...`` into an index."""
-        return self._hash(line_addr)[1][bank]
+        INDEX_CACHE.put(key, mask)
+        return mask
 
     # -- geometry helpers ----------------------------------------------------
     @property
     def size_bits(self) -> int:
         return self.bits_per_bank * self.num_banks
-
-    @property
-    def tracks_exact(self) -> bool:
-        return self._exact is not None
 
     def bank_bits(self, bank: int) -> int:
         """The raw bit array of one bank."""
@@ -225,18 +203,7 @@ class BloomSignature(Signature):
 
     # -- mutation -------------------------------------------------------------
     def insert(self, line_addr: int) -> None:
-        self.bits |= self._hash(line_addr)[0]
-        if self._exact is not None:
-            self._exact.add(line_addr)
-
-    def mask_of(self, line_addr: int) -> int:
-        """Packed insert mask of one address (one bit per bank).
-
-        ``sig.bits |= mask`` inserts the address and ``(sig.bits & mask)
-        == mask`` is its membership test; the mask depends only on the
-        geometry, so callers may memoize it per address.
-        """
-        return self._hash(line_addr)[0]
+        self.bits |= self.mask_of(line_addr)
 
     def masks_of(self, line_addrs: Iterable[int]) -> int:
         """Combined packed insert mask of a whole address array.
@@ -248,76 +215,47 @@ class BloomSignature(Signature):
         This is the kernel behind :meth:`insert_many`.
         """
         bits = 0
-        hash_ = self._hash
+        mask_of = self.mask_of
         for addr in line_addrs:
-            bits |= hash_(addr)[0]
+            bits |= mask_of(addr)
         return bits
 
     def insert_many(self, line_addrs: Iterable[int]) -> None:
-        addrs = line_addrs if isinstance(line_addrs, (list, tuple)) else list(line_addrs)
-        self.bits |= self.masks_of(addrs)
-        if self._exact is not None:
-            self._exact.update(addrs)
+        self.bits |= self.masks_of(line_addrs)
 
     def member_many(self, line_addrs: Iterable[int]) -> List[bool]:
         bits = self.bits
-        hash_ = self._hash
+        mask_of = self.mask_of
         out: List[bool] = []
         for addr in line_addrs:
-            mask = hash_(addr)[0]
+            mask = mask_of(addr)
             out.append((bits & mask) == mask)
         return out
 
     def filter_members(self, line_addrs: Iterable[int]) -> List[int]:
         bits = self.bits
-        hash_ = self._hash
+        mask_of = self.mask_of
         out: List[int] = []
         for addr in line_addrs:
-            mask = hash_(addr)[0]
+            mask = mask_of(addr)
             if (bits & mask) == mask:
                 out.append(addr)
         return out
 
     def clear(self) -> None:
         self.bits = 0
-        if self._exact is not None:
-            self._exact.clear()
-
-    def union_update(self, other: Signature) -> None:
-        o = self._check_compatible(other)
-        self.bits |= o.bits
-        if self._exact is not None:
-            if o._exact is not None:
-                self._exact |= o._exact
-            else:
-                # The mirror can no longer be ground truth; drop it rather
-                # than report a false subset.
-                self._exact = None
 
     # -- functional operations -------------------------------------------------
-    def _derived(self, bits: int, exact: Optional[Set[int]]) -> "BloomSignature":
-        out = BloomSignature(self.size_bits, self.num_banks, track_exact=False)
+    def _derived(self, bits: int) -> "BloomSignature":
+        out = BloomSignature(self.size_bits, self.num_banks)
         out.bits = bits
-        out._exact = exact
         return out
 
     def intersect(self, other: Signature) -> "BloomSignature":
-        o = self._check_compatible(other)
-        exact = (
-            self._exact & o._exact
-            if self._exact is not None and o._exact is not None
-            else None
-        )
-        return self._derived(self.bits & o.bits, exact)
+        return self._derived(self.bits & self._check_compatible(other).bits)
 
     def union(self, other: Signature) -> "BloomSignature":
-        o = self._check_compatible(other)
-        exact = (
-            self._exact | o._exact
-            if self._exact is not None and o._exact is not None
-            else None
-        )
-        return self._derived(self.bits | o.bits, exact)
+        return self._derived(self.bits | self._check_compatible(other).bits)
 
     def is_empty(self) -> bool:
         # An address sets one bit in *every* bank, so an all-zero bank
@@ -338,7 +276,7 @@ class BloomSignature(Signature):
 
         ANDs the packed banks and early-exits on the first all-zero bank
         — the provably-empty case — without building an intermediate
-        signature or touching the exact mirrors.
+        signature.
         """
         o = self._check_compatible(other)
         inter = self.bits & o.bits
@@ -353,7 +291,7 @@ class BloomSignature(Signature):
         return False
 
     def member(self, line_addr: int) -> bool:
-        mask = self._hash(line_addr)[0]
+        mask = self.mask_of(line_addr)
         return (self.bits & mask) == mask
 
     # -- decode (δ) --------------------------------------------------------------
@@ -402,32 +340,13 @@ class BloomSignature(Signature):
             ]
         return set(candidates)
 
-    def copy(self) -> "BloomSignature":
-        return self._derived(
-            self.bits, set(self._exact) if self._exact is not None else None
-        )
-
-    def empty_like(self) -> "BloomSignature":
-        return BloomSignature(
-            self.size_bits, self.num_banks, track_exact=self.tracks_exact
-        )
-
     # -- introspection -----------------------------------------------------------
-    def exact_members(self) -> FrozenSet[int]:
-        if self._exact is None:
-            raise RuntimeError(
-                "exact mirror disabled (track_exact=False); ground truth is "
-                "only available in verify/stats modes"
-            )
-        return frozenset(self._exact)
-
     def popcount(self) -> int:
         """Total number of set bits; a pollution measure."""
         return bin(self.bits).count("1")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        true = len(self._exact) if self._exact is not None else "off"
         return (
             f"<BloomSignature banks={self.num_banks}x{self.bits_per_bank} "
-            f"pop={self.popcount()} true={true}>"
+            f"pop={self.popcount()}>"
         )

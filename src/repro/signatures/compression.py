@@ -35,7 +35,7 @@ def compressed_size_bits(signature: Signature) -> int:
         # Magic signature: charge what the equivalent Bloom transfer costs,
         # so BSCexact isolates aliasing, not bandwidth.
         size_bits = 2048
-        set_bits = min(len(signature.exact_members()) * 4, size_bits)
+        set_bits = min(len(signature) * 4, size_bits)
     else:  # pragma: no cover - future signature kinds
         raise TypeError(f"unknown signature type {type(signature).__name__}")
     position_bits = max(1, int(math.ceil(math.log2(size_bits))))

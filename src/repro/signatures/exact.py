@@ -44,9 +44,6 @@ class ExactSignature(Signature):
         members = self._members
         return [addr for addr in line_addrs if addr in members]
 
-    def union_update(self, other: Signature) -> None:
-        self._members |= self._check_compatible(other)._members
-
     # -- functional operations ------------------------------------------------
     def intersect(self, other: Signature) -> "ExactSignature":
         out = ExactSignature()
@@ -72,16 +69,9 @@ class ExactSignature(Signature):
         mask = num_sets - 1
         return {addr & mask for addr in self._members}
 
-    def copy(self) -> "ExactSignature":
-        out = ExactSignature()
-        out._members = set(self._members)
-        return out
-
-    def empty_like(self) -> "ExactSignature":
-        return ExactSignature()
-
     # -- introspection -----------------------------------------------------------
     def exact_members(self) -> FrozenSet[int]:
+        """The inserted address set itself."""
         return frozenset(self._members)
 
     def __len__(self) -> int:

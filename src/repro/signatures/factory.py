@@ -23,11 +23,7 @@ class SignatureFactory:
         """A fresh empty signature."""
         if self.config.exact:
             return ExactSignature()
-        return BloomSignature(
-            self.config.size_bits,
-            self.config.num_banks,
-            track_exact=self.config.track_exact,
-        )
+        return BloomSignature(self.config.size_bits, self.config.num_banks)
 
     def from_addresses(self, line_addrs) -> Signature:
         """A signature pre-populated with ``line_addrs``.
@@ -36,7 +32,7 @@ class SignatureFactory:
         signature to broadcast for bulk disambiguation (Section 4.3.3).
         """
         signature = self.new()
-        signature.insert_all(line_addrs)
+        signature.insert_many(line_addrs)
         return signature
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

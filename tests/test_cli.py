@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.verify import litmus
 
 
 class TestList:
@@ -59,6 +61,29 @@ class TestExperiments:
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 9" in out and "G.M." in out
+
+
+class TestLitmus:
+    @pytest.fixture
+    def always_forbidden(self, monkeypatch):
+        """A litmus suite whose one test reports every outcome forbidden."""
+        mp = replace(litmus.message_passing(), forbidden=lambda registers: True)
+        monkeypatch.setattr(litmus, "all_litmus_tests", lambda: [mp])
+
+    def test_clean_run_exits_0(self, capsys):
+        assert main(["litmus", "--config", "BSCdypvt"]) == 0
+        assert "SB     forbidden  0/12" in capsys.readouterr().out
+
+    def test_forbidden_outcome_under_sc_model_exits_1(self, always_forbidden, capsys):
+        assert main(["litmus", "--config", "BSCdypvt"]) == 1
+
+    def test_forbidden_outcome_under_relaxed_model_exits_0(
+        self, always_forbidden, capsys
+    ):
+        assert main(["litmus", "--config", "RC"]) == 0
+
+    def test_unknown_config_exits_2(self, capsys):
+        assert main(["litmus", "--config", "XYZ"]) == 2
 
 
 class TestParser:

@@ -19,7 +19,7 @@ def dirbdm(directory):
 
 def w_sig(*lines):
     sig = ExactSignature()
-    sig.insert_all(lines)
+    sig.insert_many(lines)
     return sig
 
 

@@ -41,7 +41,7 @@ def new_chunk(bdm, chunk_id=1):
 
 def sig(*lines):
     s = ExactSignature()
-    s.insert_all(lines)
+    s.insert_many(lines)
     return s
 
 

@@ -9,7 +9,7 @@ from repro.signatures.exact import ExactSignature
 
 def sig(*lines):
     s = ExactSignature()
-    s.insert_all(lines)
+    s.insert_many(lines)
     return s
 
 

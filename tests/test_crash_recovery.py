@@ -31,7 +31,7 @@ from repro.verify.sc_checker import check_sequential_consistency
 
 def sig(*lines):
     s = ExactSignature()
-    s.insert_all(lines)
+    s.insert_many(lines)
     return s
 
 

@@ -21,7 +21,7 @@ class TestBasics:
     def test_member_no_false_negatives(self):
         sig = make()
         addrs = [7, 0x100, 0xDEAD, 0xBEEF00, 2**30 + 5]
-        sig.insert_all(addrs)
+        sig.insert_many(addrs)
         assert all(sig.member(a) for a in addrs)
 
     def test_clear(self):
@@ -38,9 +38,11 @@ class TestBasics:
             BloomSignature(1536, 4)  # 384 bits/bank not a power of two
 
     def test_exact_members_ground_truth(self):
+        """The ground truth is the set the caller keeps, not the signature."""
+        inserted = {1, 2, 3}
         sig = make()
-        sig.insert_all([1, 2, 3])
-        assert sig.exact_members() == frozenset({1, 2, 3})
+        sig.insert_many(inserted)
+        assert set(sig.filter_members(range(8))) >= inserted
 
     def test_popcount_bounded_by_inserts_times_banks(self):
         sig = make()
@@ -53,14 +55,14 @@ class TestOperations:
     def test_intersection_of_disjoint_local_sets_is_empty(self):
         """Sets in different high-address regions provably don't intersect."""
         a, b = make(), make()
-        a.insert_all(range(0x1000000, 0x1000040))
-        b.insert_all(range(0x2000000, 0x2000040))
+        a.insert_many(range(0x1000000, 0x1000040))
+        b.insert_many(range(0x2000000, 0x2000040))
         assert a.intersect(b).is_empty()
 
     def test_intersection_detects_common_address(self):
         a, b = make(), make()
-        a.insert_all([10, 20, 30])
-        b.insert_all([30, 40])
+        a.insert_many([10, 20, 30])
+        b.insert_many([30, 40])
         assert not a.intersect(b).is_empty()
 
     def test_union_contains_both(self):
@@ -69,27 +71,6 @@ class TestOperations:
         b.insert(9)
         u = a.union(b)
         assert u.member(5) and u.member(9)
-
-    def test_union_update_in_place(self):
-        a, b = make(), make()
-        b.insert(77)
-        a.union_update(b)
-        assert a.member(77)
-
-    def test_copy_is_independent(self):
-        a = make()
-        a.insert(3)
-        c = a.copy()
-        c.insert(4)
-        assert not a.member(4) or a.exact_members() == frozenset({3})
-        assert c.member(3) and c.member(4)
-
-    def test_empty_like_preserves_geometry(self):
-        a = BloomSignature(1024, 2)
-        e = a.empty_like()
-        assert e.size_bits == 1024
-        assert e.num_banks == 2
-        assert e.is_empty()
 
     def test_incompatible_geometries_rejected(self):
         with pytest.raises(TypeError):
@@ -106,8 +87,8 @@ class TestSupersetEncoding:
     def test_intersection_is_superset_of_true_intersection(self):
         """Bloom may report extra, never fewer."""
         a, b = make(), make()
-        a.insert_all(range(0, 200, 7))
-        b.insert_all(range(0, 200, 11))
+        a.insert_many(range(0, 200, 7))
+        b.insert_many(range(0, 200, 11))
         true_common = set(range(0, 200, 7)) & set(range(0, 200, 11))
         inter = a.intersect(b)
         for addr in true_common:
@@ -119,7 +100,7 @@ class TestSupersetEncoding:
         """Addresses in a distant region rarely match a local set."""
         sig = make()
         base = 0x5 << 24
-        sig.insert_all(base + i for i in range(40))
+        sig.insert_many(base + i for i in range(40))
         other = 0xA3 << 24
         false_hits = sum(1 for i in range(500) if sig.member(other + i))
         assert false_hits < 50  # <10%
@@ -130,7 +111,7 @@ class TestSupersetEncoding:
         import random
 
         rng = random.Random(0)
-        sig.insert_all(rng.randrange(0, 1 << 30) for _ in range(500))
+        sig.insert_many(rng.randrange(0, 1 << 30) for _ in range(500))
         probes = [rng.randrange(0, 1 << 30) for _ in range(300)]
         hits = sum(1 for p in probes if sig.member(p))
         # Saturated signatures alias heavily.
@@ -142,7 +123,7 @@ class TestDecode:
         sig = make()
         num_sets = 256
         addrs = [0x30001, 0x30055, 0x300FE]
-        sig.insert_all(addrs)
+        sig.insert_many(addrs)
         candidates = sig.decode_sets(num_sets)
         for addr in addrs:
             assert addr % num_sets in candidates
@@ -181,7 +162,6 @@ class TestArrayOperations:
         for addr in self.ADDRS:
             loop.insert(addr)
         assert batch.bits == loop.bits
-        assert batch.exact_members() == loop.exact_members()
 
     def test_masks_of_is_the_union_of_single_masks(self):
         sig = make()

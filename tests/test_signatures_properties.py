@@ -17,13 +17,13 @@ addr_sets = st.sets(line_addrs, min_size=0, max_size=60)
 
 def bloom_from(addrs):
     sig = BloomSignature()
-    sig.insert_all(addrs)
+    sig.insert_many(addrs)
     return sig
 
 
 def exact_from(addrs):
     sig = ExactSignature()
-    sig.insert_all(addrs)
+    sig.insert_many(addrs)
     return sig
 
 
@@ -58,14 +58,6 @@ def test_bloom_union_contains_both_sets(a, b):
     assert all(u.member(x) for x in a | b)
 
 
-@given(addr_sets, addr_sets)
-def test_union_update_equivalent_to_union(a, b):
-    left = bloom_from(a)
-    left.union_update(bloom_from(b))
-    functional = bloom_from(a).union(bloom_from(b))
-    assert all(left.member(x) == functional.member(x) for x in a | b)
-
-
 @given(addr_sets)
 def test_bloom_decode_covers_all_member_sets(addrs):
     sig = bloom_from(addrs)
@@ -73,14 +65,6 @@ def test_bloom_decode_covers_all_member_sets(addrs):
         candidates = sig.decode_sets(num_sets)
         for addr in addrs:
             assert addr % num_sets in candidates
-
-
-@given(addr_sets)
-def test_copy_preserves_membership(addrs):
-    sig = bloom_from(addrs)
-    copy = sig.copy()
-    assert all(copy.member(a) for a in addrs)
-    assert copy.exact_members() == sig.exact_members()
 
 
 @given(addr_sets, addr_sets)
