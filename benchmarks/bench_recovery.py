@@ -17,7 +17,7 @@ sampled), and SC must still be certified on the crashed history.
 
 import time
 
-from repro.faults.injector import ScriptedFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import crash_script_from
 from repro.harness.runner import ALL_APPS, build_app_workload
 from repro.params import NAMED_CONFIGS
@@ -36,9 +36,8 @@ def _run(seed, crashed):
     workload = build_app_workload(APP, config, INSTRUCTIONS, seed)
     injector = None
     if crashed:
-        injector = ScriptedFaultInjector(
-            crash_script=crash_script_from([CRASH]), label="bench-recovery"
-        )
+        injector = FaultInjector(label="bench-recovery")
+        injector.crash_script = crash_script_from([CRASH])
     result = run_workload(
         config,
         workload.programs,

@@ -16,7 +16,7 @@ run, and a replay less than 3.5× (it re-runs and then compares).
 
 import time
 
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.replayer import replay_trace
 from repro.replay.workload import build_workload, litmus_spec
 from repro.params import NAMED_CONFIGS
@@ -41,7 +41,7 @@ def _plain_pass(seed):
 
 def _record_pass(seed):
     return [
-        record_run(spec, config_name=CONFIG_NAME, seed=seed)
+        record_run(replay_cell(spec, CONFIG_NAME, seed))
         for spec in _specs()
     ]
 

@@ -21,6 +21,9 @@ DET005  ordering by object identity (``key=id``)
 DET006  unsorted directory listings (``os.listdir``, ``glob.glob``,
         ``Path.iterdir``, ``os.scandir``) used without ``sorted(...)``
 DET007  ``.pop()`` on a set-typed local — removes an arbitrary element
+DET008  the builtin ``hash()`` — str/bytes hashes change per process
+        with ``PYTHONHASHSEED``; derive seeds with
+        ``repro.engine.rng.derive_seed``
 ======  ==============================================================
 
 DET001/DET007 use a deliberately shallow intra-function inference: a
@@ -249,6 +252,13 @@ class _Linter(ast.NodeVisitor):
     # -- call-based rules ----------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        if isinstance(func, ast.Name) and func.id == "hash":
+            self._add(
+                node,
+                "DET008",
+                "builtin hash() is randomized per process; "
+                "use engine.rng.derive_seed instead",
+            )
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             base, attr = func.value.id, func.attr
             if base == "random" and attr in _RANDOM_FUNCS:

@@ -42,6 +42,11 @@ class CampaignCell:
     #: ``chaos`` front-end labels its runs itself.  Not part of the memo
     #: tuple, so it never changes a cell key.
     injector: Optional[Tuple[int, str]] = None
+    #: An explicit fault schedule the injector follows instead of drawing
+    #: (the trace-header ``fault_script`` form; see
+    #: :class:`~repro.faults.injector.FaultInjector`).  Set by replay and
+    #: the minimizer; outside the memo tuple like ``injector``.
+    fault_script: Optional[dict] = None
 
     def injector_identity(self) -> Tuple[int, str]:
         """The ``(seed, label)`` of this cell's fault injector."""

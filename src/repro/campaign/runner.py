@@ -20,8 +20,9 @@ The runner turns the deterministic cell queue into durable evidence:
 Cell execution — fan-out, retries, the serial fallback and infra
 outcomes — is :func:`execute_cells`, which the in-memory ``chaos``
 front-end (:func:`repro.faults.chaos.run_chaos`) runs its grid through
-too; :func:`execute_cell` is the only code that certifies a
-fault-injected cell.
+too.  :func:`execute_cell` runs a simulation cell through
+:func:`repro.replay.recorder.run_cell`, the one run path it shares with
+the replay recorder.
 
 Aggregates are computed from the store in canonical cell order, purely
 from deterministic per-cell outcome payloads — which is what makes a
@@ -126,65 +127,35 @@ def execute_cell(cell: CampaignCell) -> dict:
     field dicts); an untyped exception is a harness bug and propagates.
 
     ``contracts`` cells never touch the simulator: they statically
-    check a recorded trace against the component contracts.
+    check a recorded trace against the component contracts.  Every
+    other cell runs through :func:`repro.replay.recorder.run_cell`.
     """
     if cell.workload.get("kind") == "contracts":
         return _execute_contracts_cell(cell)
 
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan, crash_script_from
-    from repro.params import NAMED_CONFIGS
-    from repro.replay.workload import build_workload
-    from repro.system import run_workload
-    from repro.verify.sc_checker import check_sequential_consistency
+    from repro.replay.recorder import run_cell
 
-    config = NAMED_CONFIGS[cell.config](seed=cell.seed)
-    if cell.fault.no_retry:
-        config = config.with_resilience(retries_enabled=False)
-    programs, space, test = build_workload(cell.workload_spec(), config)
-    plan = (
-        FaultPlan.parse(cell.fault.faults, rate=cell.fault.rate)
-        if cell.fault.faults
-        else FaultPlan.none()
-    )
-    injector_seed, injector_label = cell.injector_identity()
-    injector = FaultInjector(plan, seed=injector_seed, label=injector_label)
-    if cell.fault.crashes:
-        injector.crash_script = crash_script_from(cell.fault.crashes)
-    try:
-        result = run_workload(
-            config,
-            programs,
-            space,
-            record_history=True,
-            fault_injector=injector,
-            max_events=cell.max_events,
-        )
-    except ReproError as exc:
-        trace = getattr(exc, "fault_trace", None) or injector.trace
+    run = run_cell(cell)
+    injector = run.injector
+    if run.error is not None:
         return _outcome(
             cell,
             status="error",
-            error=f"{type(exc).__name__}: {exc}",
+            error=run.error,
             faults_injected=injector.total_injected,
             fault_summary=injector.summary(),
-            fault_trace=[asdict(record) for record in trace],
+            fault_trace=[asdict(record) for record in run.fault_trace],
         )
-    outcome = _outcome(
+    return _outcome(
         cell,
-        cycles=result.cycles,
+        status=run.status,
+        cycles=run.result.cycles,
         faults_injected=injector.total_injected,
         fault_summary=injector.summary(),
-        crashes=int(result.stat("recovery.crashes")),
-        recovery_cycles=result.stat("recovery.total_cycles.mean"),
+        sc_reason=run.sc_reason if run.status == "sc-violation" else "",
+        crashes=int(run.result.stat("recovery.crashes")),
+        recovery_cycles=run.result.stat("recovery.total_cycles.mean"),
     )
-    check = check_sequential_consistency(result.history)
-    if not check.ok:
-        outcome["status"] = "sc-violation"
-        outcome["sc_reason"] = check.reason
-    elif test is not None and test.forbidden(result.registers):
-        outcome["status"] = "forbidden"
-    return outcome
 
 
 def _infra_outcome(cell: CampaignCell, failure: CellFailure) -> dict:
@@ -271,21 +242,8 @@ def _minimize_failures(
             continue
         budget -= 1
         say(f"minimizing failing cell {cell.name}")
-        injector_seed, injector_label = cell.injector_identity()
         try:
-            recorded = record_run(
-                spec=cell.workload_spec(),
-                config_name=cell.config,
-                seed=cell.seed,
-                faults=cell.fault.faults or None,
-                rate=cell.fault.rate,
-                no_retry=cell.fault.no_retry,
-                injector_seed=injector_seed,
-                injector_label=injector_label,
-                max_events=cell.max_events,
-                kind="chaos",
-                crashes=list(cell.fault.crashes) or None,
-            )
+            recorded = record_run(cell, kind="chaos")
             store.save_trace(recorded.trace, cell.key)
             contract_report = check_trace(recorded.trace)
             say("  " + localized_summary(contract_report, limit=1))

@@ -16,6 +16,18 @@ from typing import List, Sequence, TypeVar
 T = TypeVar("T")
 
 
+def derive_seed(seed: int, label: str) -> int:
+    """A seed that is a pure function of ``(seed, label)``, in every process.
+
+    The derivation uses CRC32 rather than ``hash()`` because Python
+    randomizes string hashing per process.  :meth:`DeterministicRng.fork`
+    and the service layer's per-component ``random.Random`` streams both
+    key their seeds through it.
+    """
+    digest = zlib.crc32(label.encode("utf-8"), seed & 0xFFFFFFFF)
+    return (seed * 0x9E3779B1 + digest) & 0x7FFFFFFFFFFFFFFF
+
+
 class DeterministicRng:
     """A seeded random stream with named, independent sub-streams.
 
@@ -39,14 +51,11 @@ class DeterministicRng:
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent stream keyed by ``label``.
 
-        Forking is a pure function of ``(self.seed, label)``: it does not
-        consume state from this stream, so call order cannot perturb
-        downstream randomness.  The derivation uses CRC32 rather than
-        ``hash()`` because Python randomizes string hashing per process.
+        Forking is a pure function of ``(self.seed, label)``
+        (:func:`derive_seed`): it does not consume state from this
+        stream, so call order cannot perturb downstream randomness.
         """
-        digest = zlib.crc32(label.encode("utf-8"), self.seed & 0xFFFFFFFF)
-        child_seed = (self.seed * 0x9E3779B1 + digest) & 0x7FFFFFFFFFFFFFFF
-        return DeterministicRng(child_seed)
+        return DeterministicRng(derive_seed(self.seed, label))
 
     # Thin wrappers over random.Random -------------------------------------
     def randint(self, lo: int, hi: int) -> int:

@@ -31,11 +31,14 @@ not be re-exported from ``repro.faults.__init__``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultRecord
 from repro.faults.plan import CrashPoint, FaultPlan
 from repro.params import CERTIFY_MAX_EVENTS as CHAOS_MAX_EVENTS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaign.queue import CampaignCell
 
 
 @dataclass
@@ -56,11 +59,10 @@ class ChaosRunRecord:
     recovery_cycles: float = 0.0
     #: ``"TypeName: message"`` when the run raised a typed ReproError.
     error: Optional[str] = None
-    #: Reconstruction data for the replay recorder: workload spec,
-    #: injector label, and the config seed this run used.  Pure data, so
-    #: a failing run can be re-driven with a recorder attached
+    #: The :class:`~repro.campaign.queue.CampaignCell` this run was, so a
+    #: failing run can be re-run with a recorder attached
     #: (:func:`repro.replay.recorder.save_chaos_failure`).
-    repro: Optional[dict] = None
+    cell: Optional["CampaignCell"] = None
 
     @property
     def ok(self) -> bool:
@@ -85,11 +87,7 @@ class ChaosRunRecord:
             crashes=outcome["crashes"],
             recovery_cycles=outcome["recovery_cycles"],
             error=outcome["error"],
-            repro={
-                "workload": cell.workload_spec(),
-                "injector_label": label,
-                "config_seed": cell.seed,
-            },
+            cell=cell,
         )
 
 
@@ -105,10 +103,6 @@ class ChaosReport:
     runs: List[ChaosRunRecord] = field(default_factory=list)
     #: Fault trace of the failing run (for diagnosis), if any.
     failure_trace: List[FaultRecord] = field(default_factory=list)
-    #: The CLI fault spelling and rate override, kept so failing runs
-    #: can be re-recorded as replayable traces.
-    faults_spelling: str = ""
-    rate: Optional[float] = None
     #: Scripted arbiter-crash specs (canonical spelling), if any.
     crashes_spelling: Tuple[str, ...] = ()
 
@@ -263,8 +257,6 @@ def run_chaos(
         config_name=config_name,
         plan_description=plan.describe(),
         retries_enabled=not no_retry,
-        faults_spelling=faults,
-        rate=rate,
         crashes_spelling=tuple(CrashPoint.parse(c).canonical() for c in crashes),
     )
     # (workload spec, config seed, injector label) in chaos order: litmus

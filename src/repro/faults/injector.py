@@ -18,10 +18,10 @@ Every injectable decision point is *numbered*: :meth:`deliver` bumps
 ``deliver_seq`` on every call (faulted or not), and the storm/squash
 queries bump their own counters.  Injected faults record the sequence
 number they fired at plus their drawn parameters, which makes a fault
-schedule a pure data object: :class:`ScriptedFaultInjector` re-applies
-an explicit ``{seq: fault}`` script with no randomness at all — the
-mechanism behind trace minimization and minimized-trace replay in
-:mod:`repro.replay`.
+schedule a pure data object: an injector given a ``script`` follows an
+explicit ``{seq: fault}`` schedule instead of drawing, through the same
+code that applies a drawn fault — the mechanism behind trace
+minimization and minimized-trace replay in :mod:`repro.replay`.
 
 Every injected fault is appended to :attr:`trace` as a
 :class:`FaultRecord`; resilience errors carry this trace so a failing
@@ -55,6 +55,14 @@ _TRACE_CAP = 5000
 _MAX_RANDOM_CRASHES = 5
 
 
+def _find(specs, kind: FaultKind) -> Optional[FaultSpec]:
+    """The first spec of ``kind``, or ``None``."""
+    for spec in specs:
+        if spec.kind is kind:
+            return spec
+    return None
+
+
 @dataclass(frozen=True)
 class FaultRecord:
     """One injected fault: when, what, and to which message.
@@ -63,7 +71,7 @@ class FaultRecord:
     deliveries, storm queries, or squash queries — see
     :attr:`channel`), and ``extra``/``victims`` hold the drawn
     parameters, so a recorded fault can be re-applied verbatim by a
-    :class:`ScriptedFaultInjector`.
+    scripted :class:`FaultInjector`.
     """
 
     time: float
@@ -121,11 +129,22 @@ class FaultInjector:
     A ``(plan, seed, label)`` triple fully determines the fault schedule:
     the injector forks its own RNG sub-stream so consuming faults never
     perturbs workload generation or backoff jitter elsewhere.
+
+    Given a ``script`` — the trace-header ``fault_script`` form, ``{"deliver":
+    {seq: {"kind", "extra"}}, "storm"/"squash": {seq: victims}, "crash":
+    {"POINT:OCC": target}}`` with string keys — the injector draws nothing
+    and ignores ``plan``: it applies exactly the scripted faults at the
+    numbered injection points, so a schedule lifted from a recorded run's
+    fault records re-applies the *same* faults to the *same* protocol
+    messages.  A scripted injector is always :attr:`active`,
+    even with an empty script, so watchdogs arm as in the run it came
+    from.
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan.none)
     seed: int = 0
     label: str = "machine"
+    script: Optional[dict] = None
 
     def __post_init__(self):
         self.rng = DeterministicRng(self.seed).fork(f"fault-injector/{self.label}")
@@ -143,12 +162,13 @@ class FaultInjector:
         #: :class:`~repro.system.Machine`): every FaultRecord is published
         #: to them as a ``fault`` event, before the trace cap applies.
         self.subscribers: List[Callable[..., None]] = []
+        specs = self.plan.specs if self.script is None else ()
         self._message_specs: List[FaultSpec] = [
-            s for s in self.plan.specs if s.kind in MESSAGE_KINDS
+            s for s in specs if s.kind in MESSAGE_KINDS
         ]
-        self._storm_spec = self._find(FaultKind.STORM)
-        self._squash_spec = self._find(FaultKind.SQUASH)
-        self._crash_spec = self._find(FaultKind.CRASH)
+        self._storm_spec = _find(specs, FaultKind.STORM)
+        self._squash_spec = _find(specs, FaultKind.SQUASH)
+        self._crash_spec = _find(specs, FaultKind.CRASH)
         #: Per-point delivery counters — the crash channel's sequence
         #: space.  Counting per point (not globally) keeps scripted crash
         #: positions meaningful across config changes that shift message
@@ -156,6 +176,28 @@ class FaultInjector:
         self._point_occurrence: Dict[str, int] = {}
         #: Scripted crashes: ``{(point_value, occurrence): target}``.
         self.crash_script: Dict[Tuple[str, int], str] = {}
+        #: The script's message, storm and squash channels (``None``
+        #: when unscripted), keyed by sequence number.
+        self._deliver_script: Optional[Dict[int, Tuple[FaultKind, float]]] = None
+        self._storm_script: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._squash_script: Optional[Dict[int, Tuple[int, ...]]] = None
+        if self.script is not None:
+            script = self.script
+            self._deliver_script = {
+                int(seq): (FaultKind(entry["kind"]), float(entry.get("extra", 0.0)))
+                for seq, entry in script.get("deliver", {}).items()
+            }
+            self._storm_script = {
+                int(seq): tuple(victims)
+                for seq, victims in script.get("storm", {}).items()
+            }
+            self._squash_script = {
+                int(seq): tuple(victims)
+                for seq, victims in script.get("squash", {}).items()
+            }
+            for key, target in script.get("crash", {}).items():
+                point, occurrence = key.rsplit(":", 1)
+                self.crash_script[(point, int(occurrence))] = target
         #: Wired by the machine: called with a target name, returns True
         #: if the crash was actually applied.
         self.crash_handler: Optional[Callable[[str], bool]] = None
@@ -163,16 +205,10 @@ class FaultInjector:
         self.crash_targets: List[str] = []
         self.crashes_fired = 0
 
-    def _find(self, kind: FaultKind) -> Optional[FaultSpec]:
-        for spec in self.plan.specs:
-            if spec.kind is kind:
-                return spec
-        return None
-
     @property
     def active(self) -> bool:
         """True when any fault can ever fire (hardened watchdogs arm on this)."""
-        return self.plan.active or bool(self.crash_script)
+        return self.plan.active or bool(self.crash_script) or self.script is not None
 
     def bind(self, sim: Simulator) -> None:
         self.sim = sim
@@ -196,12 +232,25 @@ class FaultInjector:
         self.deliver_seq += 1
         self._crash_check(point, label)
         sim = self.sim
-        if sim is not None and self._message_specs:
-            for spec in self._message_specs:
-                if point not in spec.points or self.rng.random() >= spec.rate:
-                    continue
-                self._apply(spec, point, action, delay, label, sim)
-                return
+        if sim is not None:
+            if self._message_specs:
+                for spec in self._message_specs:
+                    if point not in spec.points or self.rng.random() >= spec.rate:
+                        continue
+                    self._apply(
+                        spec.name, spec.kind, self._draw(spec, delay), "",
+                        point, action, delay, label, sim,
+                    )
+                    return
+            elif self._deliver_script:
+                scripted = self._deliver_script.get(self.deliver_seq)
+                if scripted is not None:
+                    kind, extra = scripted
+                    self._apply(
+                        kind.value, kind, extra, " (scripted)",
+                        point, action, delay, label, sim,
+                    )
+                    return
         self._pass_through(action, delay, label)
 
     def _pass_through(
@@ -213,48 +262,56 @@ class FaultInjector:
         else:
             action()
 
+    def _draw(self, spec: FaultSpec, delay: float) -> float:
+        """A drawn message fault's latency parameter (see ``FaultRecord.extra``)."""
+        if spec.kind is FaultKind.DROP:
+            return 0.0
+        if spec.kind is FaultKind.REORDER:
+            return max(0.001, delay + self.rng.uniform(-spec.max_delay, spec.max_delay))
+        return self.rng.uniform(spec.min_delay, spec.max_delay)
+
     def _apply(
         self,
-        spec: FaultSpec,
+        name: str,
+        kind: FaultKind,
+        extra: float,
+        suffix: str,
         point: FaultPoint,
         action: Callable[[], object],
         delay: float,
         label: str,
         sim: Simulator,
     ) -> None:
+        """Apply one drawn or scripted message fault to this delivery."""
         seq = self.deliver_seq
-        if spec.kind is FaultKind.DROP:
+        if kind is FaultKind.DROP:
             self._record(
-                spec.name, point, label, "message lost", kind="drop", seq=seq
+                name, point, label, "message lost" + suffix, kind="drop", seq=seq
             )
             return
-        if spec.kind is FaultKind.DELAY:
-            extra = self.rng.uniform(spec.min_delay, spec.max_delay)
+        if kind is FaultKind.DELAY:
             self._record(
-                spec.name, point, label, f"+{extra:.0f}cy",
+                name, point, label, f"+{extra:.0f}cy{suffix}",
                 kind="delay", seq=seq, extra=extra,
             )
             sim.after(delay + extra, action, label=label)
             return
-        if spec.kind is FaultKind.DUP:
-            extra = self.rng.uniform(spec.min_delay, spec.max_delay)
+        if kind is FaultKind.DUP:
             self._record(
-                spec.name, point, label, f"echo +{extra:.0f}cy",
+                name, point, label, f"echo +{extra:.0f}cy{suffix}",
                 kind="dup", seq=seq, extra=extra,
             )
             sim.after(max(delay, 0.001), action, label=label)
             sim.after(delay + extra, action, label=f"{label}.dup")
             return
-        if spec.kind is FaultKind.REORDER:
-            jitter = self.rng.uniform(-spec.max_delay, spec.max_delay)
-            new_delay = max(0.001, delay + jitter)
+        if kind is FaultKind.REORDER:
             self._record(
-                spec.name, point, label, f"{delay:.0f}->{new_delay:.0f}cy",
-                kind="reorder", seq=seq, extra=new_delay,
+                name, point, label, f"{delay:.0f}->{extra:.0f}cy{suffix}",
+                kind="reorder", seq=seq, extra=extra,
             )
-            sim.after(new_delay, action, label=label)
+            sim.after(max(0.001, extra), action, label=label)
             return
-        raise AssertionError(f"unhandled message fault kind {spec.kind}")
+        raise AssertionError(f"unhandled message fault kind {kind}")
 
     # ------------------------------------------------------------------
     # Arbiter crashes
@@ -303,29 +360,61 @@ class FaultInjector:
         fan out system-wide and the ack path is stressed.
         """
         self.storm_seq += 1
-        spec = self._storm_spec
-        if spec is None or num_procs <= 1 or self.rng.random() >= spec.rate:
+        if self._storm_spec is None and self._storm_script is None:
             return []
-        victims = [p for p in range(num_procs) if p != committer]
-        self._record(
-            spec.name, None, f"commit by P{committer}",
-            f"{len(victims)} false positives",
-            kind="storm", seq=self.storm_seq, victims=tuple(victims),
+        return self._protocol_fault(
+            FaultKind.STORM, self._storm_spec, self._storm_script,
+            self.storm_seq, num_procs, committer,
         )
-        return victims
 
     def squash_victims(self, num_procs: int, committer: int) -> List[int]:
         """Processors to spuriously squash at this commit, or ``[]``."""
         self.squash_seq += 1
-        spec = self._squash_spec
-        if spec is None or num_procs <= 1 or self.rng.random() >= spec.rate:
+        if self._squash_spec is None and self._squash_script is None:
             return []
-        victim = self.rng.choice([p for p in range(num_procs) if p != committer])
-        self._record(
-            spec.name, None, f"commit by P{committer}", f"squash P{victim}",
-            kind="squash", seq=self.squash_seq, victims=(victim,),
+        return self._protocol_fault(
+            FaultKind.SQUASH, self._squash_spec, self._squash_script,
+            self.squash_seq, num_procs, committer,
         )
-        return [victim]
+
+    def _protocol_fault(
+        self,
+        kind: FaultKind,
+        spec: Optional[FaultSpec],
+        script: Optional[Dict[int, Tuple[int, ...]]],
+        seq: int,
+        num_procs: int,
+        committer: int,
+    ) -> List[int]:
+        """Draw or look up, then record, storm/squash decision ``seq``.
+
+        A storm hits every other processor; a drawn squash hits one.
+        """
+        if script is not None:
+            victims = tuple(
+                p for p in script.get(seq, ()) if p != committer and p < num_procs
+            )
+            name, suffix = kind.value, " (scripted)"
+        elif spec is None or num_procs <= 1 or self.rng.random() >= spec.rate:
+            return []
+        else:
+            others = [p for p in range(num_procs) if p != committer]
+            if kind is FaultKind.STORM:
+                victims = tuple(others)
+            else:
+                victims = (self.rng.choice(others),)
+            name, suffix = spec.name, ""
+        if not victims:
+            return []
+        if kind is FaultKind.STORM:
+            detail = f"{len(victims)} false positives"
+        else:
+            detail = "squash " + ",".join(f"P{v}" for v in victims)
+        self._record(
+            name, None, f"commit by P{committer}", detail + suffix,
+            kind=kind.value, seq=seq, victims=victims,
+        )
+        return list(victims)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -366,136 +455,3 @@ class FaultInjector:
         if self._trace_overflow:
             text += f" ({self._trace_overflow} trace records elided)"
         return text
-
-
-# ----------------------------------------------------------------------
-# Scripted replay of explicit fault schedules
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScriptedFault:
-    """One scripted perturbation: what to do at a numbered injection point."""
-
-    kind: str  # drop | delay | dup | reorder
-    extra: float = 0.0
-
-
-class ScriptedFaultInjector(FaultInjector):
-    """Replays an explicit ``{seq: fault}`` script instead of drawing.
-
-    The script is keyed by the channel sequence counters of
-    :class:`FaultInjector` (``deliver_seq``, ``storm_seq``,
-    ``squash_seq``), so a schedule extracted from a recorded run's
-    :class:`FaultRecord` trace re-applies the *same* faults to the
-    *same* protocol messages.  Subsets of a schedule are what the
-    delta-debugging minimizer in :mod:`repro.replay.minimizer` searches
-    over, and the surviving minimal script ships inside the minimized
-    trace so ``replay run`` can re-drive it.
-
-    No randomness is consumed: two runs under the same script are
-    bit-identical.
-    """
-
-    def __init__(
-        self,
-        deliver_script: Optional[Dict[int, ScriptedFault]] = None,
-        storm_script: Optional[Dict[int, Tuple[int, ...]]] = None,
-        squash_script: Optional[Dict[int, Tuple[int, ...]]] = None,
-        label: str = "scripted",
-        crash_script: Optional[Dict[Tuple[str, int], str]] = None,
-    ):
-        super().__init__(FaultPlan.none(), seed=0, label=label)
-        self.deliver_script = dict(deliver_script or {})
-        self.storm_script = {k: tuple(v) for k, v in (storm_script or {}).items()}
-        self.squash_script = {k: tuple(v) for k, v in (squash_script or {}).items()}
-        self.crash_script = dict(crash_script or {})
-
-    @property
-    def active(self) -> bool:
-        # Watchdogs must arm exactly as they did in the recorded run:
-        # a scripted injector is always "active" even with an empty
-        # script, because the run it minimizes had an active injector.
-        return True
-
-    def script_size(self) -> int:
-        return (
-            len(self.deliver_script)
-            + len(self.storm_script)
-            + len(self.squash_script)
-            + len(self.crash_script)
-        )
-
-    # ------------------------------------------------------------------
-    def deliver(
-        self,
-        point: FaultPoint,
-        action: Callable[[], object],
-        delay: float = 0.0,
-        label: str = "",
-    ) -> None:
-        self.deliver_seq += 1
-        self._crash_check(point, label)
-        seq = self.deliver_seq
-        fault = self.deliver_script.get(seq)
-        sim = self.sim
-        if fault is None or sim is None:
-            self._pass_through(action, delay, label)
-            return
-        if fault.kind == "drop":
-            self._record(
-                "drop", point, label, "message lost (scripted)",
-                kind="drop", seq=seq,
-            )
-            return
-        if fault.kind == "delay":
-            self._record(
-                "delay", point, label, f"+{fault.extra:.0f}cy (scripted)",
-                kind="delay", seq=seq, extra=fault.extra,
-            )
-            sim.after(delay + fault.extra, action, label=label)
-            return
-        if fault.kind == "dup":
-            self._record(
-                "dup", point, label, f"echo +{fault.extra:.0f}cy (scripted)",
-                kind="dup", seq=seq, extra=fault.extra,
-            )
-            sim.after(max(delay, 0.001), action, label=label)
-            sim.after(delay + fault.extra, action, label=f"{label}.dup")
-            return
-        if fault.kind == "reorder":
-            self._record(
-                "reorder", point, label,
-                f"{delay:.0f}->{fault.extra:.0f}cy (scripted)",
-                kind="reorder", seq=seq, extra=fault.extra,
-            )
-            sim.after(max(0.001, fault.extra), action, label=label)
-            return
-        raise AssertionError(f"unhandled scripted fault kind {fault.kind!r}")
-
-    def storm_procs(self, num_procs: int, committer: int) -> List[int]:
-        self.storm_seq += 1
-        victims = self.storm_script.get(self.storm_seq)
-        if not victims:
-            return []
-        victims = tuple(p for p in victims if p != committer and p < num_procs)
-        if victims:
-            self._record(
-                "storm", None, f"commit by P{committer}",
-                f"{len(victims)} false positives (scripted)",
-                kind="storm", seq=self.storm_seq, victims=victims,
-            )
-        return list(victims)
-
-    def squash_victims(self, num_procs: int, committer: int) -> List[int]:
-        self.squash_seq += 1
-        victims = self.squash_script.get(self.squash_seq)
-        if not victims:
-            return []
-        victims = tuple(p for p in victims if p != committer and p < num_procs)
-        if victims:
-            self._record(
-                "squash", None, f"commit by P{committer}",
-                f"squash {','.join(f'P{v}' for v in victims)} (scripted)",
-                kind="squash", seq=self.squash_seq, victims=victims,
-            )
-        return list(victims)

@@ -31,7 +31,7 @@ from repro.replay.schema import (
     read_trace,
     write_trace,
 )
-from repro.replay.recorder import RecordedRun, TraceRecorder, record_run
+from repro.replay.recorder import CellRun, TraceRecorder, record_run
 from repro.replay.replayer import ReplayDivergence, ReplayResult, replay_trace
 from repro.replay.explorer import ExploreReport, explore
 from repro.replay.minimizer import MinimizeResult, minimize_trace
@@ -45,7 +45,7 @@ __all__ = [
     "make_header",
     "read_trace",
     "write_trace",
-    "RecordedRun",
+    "CellRun",
     "TraceRecorder",
     "record_run",
     "ReplayDivergence",

@@ -24,10 +24,12 @@ import os
 import sys
 from typing import List
 
+from repro.campaign.spec import FaultVariant
 from repro.errors import ProgramError, ReproError
+from repro.faults.plan import CrashPoint
 from repro.replay.explorer import explore, explore_payload
 from repro.replay.minimizer import MinimizeError, minimize_trace
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.replayer import replay_trace
 from repro.replay.schema import (
     TraceValidationError,
@@ -81,18 +83,16 @@ def _trace_path(out: str, spec: dict, multiple: bool) -> str:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     specs = _record_targets(args)
+    fault = FaultVariant(
+        faults=args.faults or "",
+        rate=args.rate,
+        no_retry=args.no_retry,
+        crashes=tuple(CrashPoint.parse(c).canonical() for c in args.crash or ()),
+    )
     payloads = []
     failures = 0
     for spec in specs:
-        run = record_run(
-            spec=spec,
-            config_name=args.config,
-            seed=args.seed,
-            faults=args.faults,
-            rate=args.rate,
-            no_retry=args.no_retry,
-            crashes=args.crash or None,
-        )
+        run = record_run(replay_cell(spec, args.config, args.seed, fault))
         path = _trace_path(args.out, spec, multiple=len(specs) > 1)
         write_trace(run.trace, path)
         failures += run.failed

@@ -6,10 +6,10 @@ than the failure needs.  The minimizer shrinks it in three steps:
 1. **Scripting** — the trace's ``fault`` records are lifted into an
    explicit ``{seq: fault}`` schedule (the injection points are
    numbered by the injector's per-channel sequence counters), and the
-   run is re-driven under a
-   :class:`~repro.faults.injector.ScriptedFaultInjector`.  This must
-   reproduce the failure — it is the same fault schedule, minus the
-   randomness that generated it.
+   run is re-driven as the trace's cell carrying that script, so its
+   :class:`~repro.faults.injector.FaultInjector` follows the script
+   instead of drawing.  This must reproduce the failure — it is the same
+   fault schedule, minus the randomness that generated it.
 2. **ddmin over faults** — classic delta debugging (Zeller's ddmin)
    over the fault schedule: try subsets and complements with
    progressively finer partitions until the schedule is 1-minimal
@@ -29,12 +29,11 @@ an SC-witness failure or forbidden litmus outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.params import CERTIFY_MAX_EVENTS
-from repro.replay.recorder import RecordedRun, record_run
+from repro.replay.recorder import CellRun, cell_from_header, record_run, replay_cell
 from repro.replay.schema import Trace
 
 #: One scripted fault entry: (channel, seq, payload-dict).
@@ -106,14 +105,14 @@ class _Minimizer:
     def __init__(self, trace: Trace, budget: int):
         trace.validate()
         self.trace = trace
-        self.header = trace.header
+        self.cell = cell_from_header(trace.header)
         self.budget = budget
         self.runs_tested = 0
         original_error = trace.footer.get("error")
         #: Failure class: a typed error, or an SC/forbidden wrong answer.
         self.expect_error = original_error is not None
 
-    def _fails(self, run: RecordedRun) -> bool:
+    def _fails(self, run: CellRun) -> bool:
         if self.expect_error:
             return run.error is not None
         return run.failed
@@ -128,22 +127,23 @@ class _Minimizer:
     def _record(
         self, entries: Sequence[_FaultEntry], dropped: Sequence[int],
         kind: str = "run",
-    ) -> RecordedRun:
-        spec = dict(self.header["workload"])
+    ) -> CellRun:
+        """Run a candidate: the trace's cell under a script, minus threads."""
+        spec = dict(self.cell.workload)
         if dropped:
             spec["dropped_threads"] = sorted(dropped)
         else:
             spec.pop("dropped_threads", None)
-        faults_meta = self.header.get("faults") or {}
-        return record_run(
-            spec=spec,
-            config_name=self.header["config"],
-            seed=self.header["seed"],
-            no_retry=bool(faults_meta.get("no_retry")),
+        candidate = replay_cell(
+            spec,
+            config=self.cell.config,
+            seed=self.cell.seed,
+            # Retries as recorded; the script replaces plan and crashes.
+            fault=replace(self.cell.fault, faults="", rate=None, crashes=()),
             fault_script=_script_from(entries),
-            max_events=self.header.get("max_events") or CERTIFY_MAX_EVENTS,
-            kind=kind,
+            max_events=self.cell.max_events,
         )
+        return record_run(candidate, kind=kind)
 
     # ------------------------------------------------------------------
     def _ddmin(self, entries: List[_FaultEntry]) -> List[_FaultEntry]:
@@ -185,7 +185,7 @@ class _Minimizer:
     def _drop_threads(
         self, entries: List[_FaultEntry]
     ) -> List[int]:
-        spec = self.header["workload"]
+        spec = self.cell.workload
         if spec.get("kind") == "litmus":
             from repro.replay.workload import _find_litmus
 
@@ -210,7 +210,7 @@ class _Minimizer:
         entries = _fault_entries(self.trace)
         original_faults = len(self.trace.fault_records)
         # Step 0: the scripted full schedule must reproduce the failure.
-        baseline = self._record(entries, self.header["workload"].get(
+        baseline = self._record(entries, self.cell.workload.get(
             "dropped_threads", ()
         ))
         self.runs_tested += 1

@@ -21,32 +21,39 @@ bit-for-bit).  It records:
   (ground truth for the BDM disambiguation contract);
 * every injected fault and every arbiter crash-recovery transition.
 
-:func:`record_run` is the one-call entry point: build the machine from
-pure data (a workload spec + config name + fault metadata), run it with
-a recorder attached, and return the finished
-:class:`~repro.replay.schema.Trace` — the exact inverse of
-:func:`repro.replay.replayer.replay_trace`.
+A run is described once, as a :class:`~repro.campaign.queue.CampaignCell`
+(config, seed, workload spec, fault variant, injector identity and an
+optional fault script).  :func:`run_cell` is the one place such a run is
+assembled and classified; :func:`record_run` runs a cell with a recorder
+attached under the header :func:`cell_header` builds from it, and
+:func:`cell_from_header` turns a header back into its cell — which is
+how :func:`repro.replay.replayer.replay_trace` and the minimizer re-drive
+a trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.faults.injector import (
-    FaultInjector,
-    ScriptedFault,
-    ScriptedFaultInjector,
-)
-from repro.faults.plan import CrashPoint, FaultPlan, crash_script_from
+from repro.faults.injector import FaultInjector, FaultRecord
+from repro.faults.plan import FaultPlan, crash_script_from
 from repro.params import CERTIFY_MAX_EVENTS, NAMED_CONFIGS
-from repro.replay.schema import MAX_RECORDS, Trace, TraceRecord, make_header
+from repro.replay.schema import (
+    MAX_RECORDS,
+    Trace,
+    TraceRecord,
+    make_header,
+    write_trace,
+)
 from repro.replay.workload import build_workload, workload_name
 from repro.signatures.base import collides
 from repro.verify.sc_checker import check_sequential_consistency
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaign.queue import CampaignCell
+    from repro.campaign.spec import FaultVariant
     from repro.system import Machine, RunResult
 
 
@@ -208,15 +215,18 @@ class TraceRecorder:
         result: Optional["RunResult"] = None,
         error: Optional[str] = None,
         forbidden: Optional[bool] = None,
+        check=None,
     ) -> Trace:
-        """Build the footer from the machine's end state and close the trace."""
+        """Build the footer from the machine's end state and close the trace.
+
+        ``check`` is the run's SC verdict when the caller already has it;
+        otherwise a finished run with history is checked here.
+        """
         machine = self.machine
-        sc_ok: Optional[bool] = None
-        sc_reason = ""
-        if error is None and machine.history.enabled:
+        if check is None and error is None and machine.history.enabled:
             check = check_sequential_consistency(machine.history)
-            sc_ok = check.ok
-            sc_reason = check.reason
+        sc_ok = None if check is None else check.ok
+        sc_reason = "" if check is None else check.reason
         footer = {
             "footer": True,
             "records": len(self.records),
@@ -243,223 +253,224 @@ class TraceRecorder:
 
 
 # ----------------------------------------------------------------------
-# One-call record entry point
+# The one fault-injected run path
 # ----------------------------------------------------------------------
 
 @dataclass
-class RecordedRun:
-    """A finished recorded run: the trace plus convenience outcome flags."""
+class CellRun:
+    """One simulated cell: its result or typed error, its verdicts, and
+    its trace when it was recorded."""
 
-    trace: Trace
+    injector: FaultInjector
     result: Optional["RunResult"]
+    #: ``"TypeName: message"`` when the run raised a typed ReproError.
     error: Optional[str]
+    #: The injected faults (the typed error's own trace when it has one).
+    fault_trace: List[FaultRecord]
+    #: The SC checker's verdict; ``None`` when the run raised.
+    sc_ok: Optional[bool]
+    sc_reason: str
+    #: Whether a finished litmus run shows a forbidden outcome, else ``None``.
+    forbidden: Optional[bool]
+    trace: Optional[Trace] = None
 
     @property
-    def sc_ok(self) -> Optional[bool]:
-        return self.trace.footer.get("sc_ok")
-
-    @property
-    def forbidden(self) -> Optional[bool]:
-        return self.trace.footer.get("forbidden")
+    def status(self) -> str:
+        """``error``, ``sc-violation``, ``forbidden`` or ``ok``."""
+        if self.error is not None:
+            return "error"
+        if not self.sc_ok:
+            return "sc-violation"
+        return "forbidden" if self.forbidden else "ok"
 
     @property
     def failed(self) -> bool:
-        return (
-            self.error is not None
-            or self.sc_ok is False
-            or bool(self.forbidden)
-        )
+        return self.status != "ok"
 
 
-def _parse_crash_script(entries: dict) -> dict:
-    """``{"point:occ": target}`` (JSON spelling) → injector crash script."""
-    script = {}
-    for key, target in entries.items():
-        point, occ = key.rsplit(":", 1)
-        script[(point, int(occ))] = target
-    return script
+def run_cell(cell: "CampaignCell", header: Optional[dict] = None) -> CellRun:
+    """Run one campaign cell; with a ``header``, record it as a trace.
 
-
-def build_injector(
-    faults: Optional[dict], fault_script: Optional[dict], default_label: str
-) -> FaultInjector:
-    """Build the injector described by trace-header fault metadata."""
-    if fault_script is not None:
-        deliver = {
-            int(seq): ScriptedFault(
-                kind=entry["kind"], extra=float(entry.get("extra", 0.0))
-            )
-            for seq, entry in fault_script.get("deliver", {}).items()
-        }
-        storm = {
-            int(seq): tuple(victims)
-            for seq, victims in fault_script.get("storm", {}).items()
-        }
-        squash = {
-            int(seq): tuple(victims)
-            for seq, victims in fault_script.get("squash", {}).items()
-        }
-        return ScriptedFaultInjector(
-            deliver_script=deliver,
-            storm_script=storm,
-            squash_script=squash,
-            label=default_label,
-            crash_script=_parse_crash_script(fault_script.get("crash", {})),
-        )
-    if faults and faults.get("spelling"):
-        plan = FaultPlan.parse(faults["spelling"], rate=faults.get("rate"))
-        return FaultInjector(
-            plan,
-            seed=int(faults.get("injector_seed", 0)),
-            label=faults.get("injector_label") or default_label,
-        )
-    return FaultInjector()
-
-
-def record_run(
-    spec: dict,
-    config_name: str = "BSCdypvt",
-    seed: int = 0,
-    faults: Optional[str] = None,
-    rate: Optional[float] = None,
-    no_retry: bool = False,
-    injector_seed: Optional[int] = None,
-    injector_label: Optional[str] = None,
-    fault_script: Optional[dict] = None,
-    max_events: int = CERTIFY_MAX_EVENTS,
-    kind: str = "run",
-    crashes: Optional[List[str]] = None,
-) -> RecordedRun:
-    """Run one workload with a recorder attached and return its trace.
-
-    The argument set is deliberately pure data (strings, ints, dicts):
-    the same values are stored in the trace header, which is what makes
-    the run reconstructible by :func:`~repro.replay.replayer.replay_trace`.
-    ``crashes`` lists scripted arbiter crashes as
-    ``POINT:OCCURRENCE[:TARGET]`` spellings (see
-    :class:`~repro.faults.plan.CrashPoint`).
+    The only code that assembles a fault-injected run: it resolves the
+    cell's config (retries off under ``no_retry``), builds its workload,
+    its :class:`~repro.faults.injector.FaultInjector` (drawn from the
+    cell's plan and injector identity, or following its fault script,
+    plus its scripted crashes) and its machine, runs it with a
+    :class:`TraceRecorder` subscribed when ``header`` is given, and
+    classifies the result.  :func:`repro.campaign.runner.execute_cell`
+    runs cells without a recorder; :func:`record_run` with one.
     """
     from repro.system import Machine
 
-    if config_name not in NAMED_CONFIGS:
-        raise ReproError(f"unknown configuration {config_name!r}")
-    config = NAMED_CONFIGS[config_name](seed=seed)
-    if no_retry:
+    if cell.config not in NAMED_CONFIGS:
+        raise ReproError(f"unknown configuration {cell.config!r}")
+    config = NAMED_CONFIGS[cell.config](seed=cell.seed)
+    if cell.fault.no_retry:
         config = config.with_resilience(retries_enabled=False)
+    spec = cell.workload_spec()
     programs, space, test = build_workload(spec, config)
-    label = injector_label or f"replay/{workload_name(spec)}"
-    faults_meta = None
-    if faults:
-        faults_meta = {
-            "spelling": faults,
-            "rate": rate,
-            "no_retry": no_retry,
-            "injector_seed": injector_seed if injector_seed is not None else seed,
-            "injector_label": label,
-        }
-    elif no_retry:
-        faults_meta = {
-            "spelling": None,
-            "rate": None,
-            "no_retry": True,
-            "injector_seed": seed,
-            "injector_label": label,
-        }
-    injector = build_injector(faults_meta, fault_script, label)
-    crash_points = [CrashPoint.parse(spec_) for spec_ in (crashes or [])]
-    if crash_points:
-        injector.crash_script = crash_script_from(crash_points)
-    header = make_header(
-        kind=kind,
-        config=config_name,
-        seed=seed,
-        workload=spec,
-        faults=faults_meta,
-        fault_script=fault_script,
-        max_events=max_events,
-        crashes=[cp.canonical() for cp in crash_points],
+    plan = (
+        FaultPlan.parse(cell.fault.faults, rate=cell.fault.rate)
+        if cell.fault.faults
+        else FaultPlan.none()
     )
+    injector_seed, injector_label = cell.injector_identity()
+    injector = FaultInjector(
+        plan, seed=injector_seed, label=injector_label, script=cell.fault_script
+    )
+    injector.crash_script.update(crash_script_from(cell.fault.crashes))
     machine = Machine(
         config, programs, space, record_history=True, fault_injector=injector
     )
-    recorder = TraceRecorder.attach(machine, header)
+    recorder = None if header is None else TraceRecorder.attach(machine, header)
     result = None
     error = None
+    fault_trace = injector.trace
     try:
-        result = machine.run(max_events=max_events)
+        result = machine.run(max_events=cell.max_events)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
+        fault_trace = getattr(exc, "fault_trace", None) or injector.trace
+    check = None if error is not None else check_sequential_consistency(machine.history)
     forbidden = None
     if test is not None and result is not None and not spec.get("dropped_threads"):
         # A workload with dropped threads is no longer the litmus test;
         # its forbidden-outcome predicate reads registers that were
         # never written.
         forbidden = bool(test.forbidden(result.registers))
-    trace = recorder.finish(result=result, error=error, forbidden=forbidden)
-    return RecordedRun(trace=trace, result=result, error=error)
-
-
-def chaos_failure_run(report) -> Optional[object]:
-    """First failing run record of a chaos report, or ``None``."""
-    for run in getattr(report, "runs", ()):
-        failing = (
-            run.error is not None
-            or not run.sc_certified
-            or run.forbidden_outcome
-        )
-        if failing and getattr(run, "repro", None):
-            return run
-    return None
-
-
-def record_chaos_failure(report) -> Optional[RecordedRun]:
-    """Re-record a chaos campaign's first failing run as a trace.
-
-    Chaos runs are deterministic per ``(plan, seed, label)``, so re-driving
-    the failing run with a recorder attached reproduces it exactly; the
-    resulting artifact replays (and minimizes) stand-alone.  Returns
-    ``None`` when every run was certified.
-    """
-    run = chaos_failure_run(report)
-    if run is None:
-        return None
-    return record_run(
-        spec=run.repro["workload"],
-        config_name=report.config_name,
-        seed=run.repro["config_seed"],
-        faults=report.faults_spelling,
-        rate=report.rate,
-        no_retry=not report.retries_enabled,
-        injector_seed=report.seed,
-        injector_label=run.repro["injector_label"],
-        kind="chaos",
-        crashes=list(getattr(report, "crashes_spelling", ()) or ()) or None,
-        max_events=CERTIFY_MAX_EVENTS,
+    return CellRun(
+        injector=injector,
+        result=result,
+        error=error,
+        fault_trace=fault_trace,
+        sc_ok=None if check is None else check.ok,
+        sc_reason="" if check is None else check.reason,
+        forbidden=forbidden,
+        trace=None if recorder is None else recorder.finish(result, error, forbidden, check),
     )
 
 
-def save_chaos_failure(report, path: str) -> Optional[str]:
-    """Save a chaos campaign's failing run as a replayable trace artifact.
+def replay_cell(
+    spec: dict,
+    config: str = "BSCdypvt",
+    seed: int = 0,
+    fault: Optional["FaultVariant"] = None,
+    fault_script: Optional[dict] = None,
+    max_events: int = CERTIFY_MAX_EVENTS,
+) -> "CampaignCell":
+    """The cell ``replay record`` runs: one workload spec at one seed.
 
-    ``path`` ending in ``.jsonl`` writes a stand-alone trace file (the
-    original contract).  Any other path is treated as a campaign store
-    directory (:meth:`repro.campaign.store.CampaignStore.attach`): the
-    trace lands under ``<path>/traces/`` next to campaign artifacts and
-    is logged in the store's ``log.jsonl`` — one results directory
-    instead of scattered trace files.  Returns the written path, or
-    ``None`` when every run was certified.
+    Its injector is forked from the run seed and labelled
+    ``replay/<workload name>``.
     """
-    from repro.replay.schema import write_trace
+    from repro.campaign.queue import CampaignCell
+    from repro.campaign.spec import FaultVariant
 
-    recorded = record_chaos_failure(report)
-    if recorded is None:
+    return CampaignCell(
+        index=0,
+        config=config,
+        workload=dict(spec),
+        seed=seed,
+        fault=fault or FaultVariant(),
+        instructions=spec.get("instructions", 0),
+        max_events=max_events,
+        injector=(seed, f"replay/{workload_name(spec)}"),
+        fault_script=fault_script,
+    )
+
+
+def cell_header(cell: "CampaignCell", kind: str = "run") -> dict:
+    """The trace header of a recorded cell; :func:`cell_from_header` inverts it.
+
+    The header's ``faults`` dict is present when the cell has a fault
+    plan or disables retries, and then names the injector identity.
+    """
+    fault = cell.fault
+    faults = None
+    if fault.faults or fault.no_retry:
+        injector_seed, injector_label = cell.injector_identity()
+        faults = {
+            "spelling": fault.faults or None,
+            "rate": fault.rate,
+            "no_retry": fault.no_retry,
+            "injector_seed": injector_seed,
+            "injector_label": injector_label,
+        }
+    return make_header(
+        kind=kind,
+        config=cell.config,
+        seed=cell.seed,
+        workload=cell.workload_spec(),
+        faults=faults,
+        fault_script=cell.fault_script,
+        max_events=cell.max_events,
+        crashes=list(fault.crashes),
+    )
+
+
+def cell_from_header(header: dict) -> "CampaignCell":
+    """The cell a trace header describes: the run ``replay`` re-drives."""
+    from repro.campaign.spec import FaultVariant
+
+    faults = header.get("faults") or {}
+    cell = replay_cell(
+        header["workload"],
+        config=header["config"],
+        seed=header["seed"],
+        fault=FaultVariant(
+            faults=faults.get("spelling") or "",
+            rate=faults.get("rate"),
+            no_retry=bool(faults.get("no_retry")),
+            crashes=tuple(header.get("crashes") or ()),
+        ),
+        fault_script=header.get("fault_script"),
+        max_events=header.get("max_events") or CERTIFY_MAX_EVENTS,
+    )
+    if not faults:
+        return cell
+    return replace(
+        cell,
+        injector=(
+            int(faults.get("injector_seed", cell.seed)),
+            faults.get("injector_label") or cell.injector[1],
+        ),
+    )
+
+
+def record_run(cell: "CampaignCell", kind: str = "run") -> CellRun:
+    """Run one cell with a recorder attached; the run carries its trace.
+
+    The header holds the cell as pure data (:func:`cell_header`), which
+    is what makes the run reconstructible by
+    :func:`~repro.replay.replayer.replay_trace`.
+    """
+    return run_cell(cell, cell_header(cell, kind))
+
+
+def save_chaos_failure(report, path: str) -> Optional[str]:
+    """Save a chaos campaign's first failing run as a replayable trace.
+
+    Chaos runs are deterministic per cell, so re-running the failing
+    run's cell with a recorder attached reproduces it exactly; the
+    resulting artifact replays (and minimizes) stand-alone.  ``path``
+    ending in ``.jsonl`` writes a stand-alone trace file.  Any other
+    path is treated as a campaign store directory
+    (:meth:`repro.campaign.store.CampaignStore.attach`): the trace lands
+    under ``<path>/traces/`` next to campaign artifacts and is logged in
+    the store's ``log.jsonl``.  Returns the written path, or ``None``
+    when every run was certified.
+    """
+    failing = next((run for run in report.runs if not run.ok), None)
+    if failing is None:
         return None
+    recorded = record_run(failing.cell, kind="chaos")
     if path.endswith(".jsonl"):
         write_trace(recorded.trace, path)
         return path
     from repro.campaign.store import CampaignStore
 
     store = CampaignStore.attach(path)
-    run = chaos_failure_run(report)
-    label = run.repro["injector_label"].replace("/", "-")
-    return store.save_trace(recorded.trace, f"chaos-s{report.seed}-{label}")
+    seed, label = failing.cell.injector_identity()
+    return store.save_trace(
+        recorded.trace, f"chaos-s{seed}-{label.replace('/', '-')}"
+    )

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.params import CERTIFY_MAX_EVENTS
-from repro.replay.recorder import RecordedRun, record_run
+from repro.replay.recorder import CellRun, cell_from_header, record_run
 from repro.replay.schema import Trace, TraceRecord
 
 #: Footer keys compared field-by-field after the record streams match.
@@ -76,7 +75,7 @@ class ReplayResult:
     """Outcome of replaying one trace."""
 
     trace: Trace
-    replayed: RecordedRun
+    replayed: CellRun
     divergence: Optional[ReplayDivergence] = None
     footer_mismatches: List[str] = field(default_factory=list)
 
@@ -112,20 +111,7 @@ def replay_trace(trace: Trace) -> ReplayResult:
     """Re-run a trace's workload and verify divergence-free execution."""
     trace.validate()
     header = trace.header
-    replayed = record_run(
-        spec=header["workload"],
-        config_name=header["config"],
-        seed=header["seed"],
-        faults=(header.get("faults") or {}).get("spelling"),
-        rate=(header.get("faults") or {}).get("rate"),
-        no_retry=bool((header.get("faults") or {}).get("no_retry")),
-        injector_seed=(header.get("faults") or {}).get("injector_seed"),
-        injector_label=(header.get("faults") or {}).get("injector_label"),
-        fault_script=header.get("fault_script"),
-        max_events=header.get("max_events") or CERTIFY_MAX_EVENTS,
-        kind=header["kind"],
-        crashes=header.get("crashes"),
-    )
+    replayed = record_run(cell_from_header(header), kind=header["kind"])
     result = ReplayResult(trace=trace, replayed=replayed)
     recorded_draws = int(trace.footer.get("rng_draws", -1))
     replayed_draws = int(replayed.trace.footer.get("rng_draws", -1))

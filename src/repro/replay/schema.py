@@ -133,7 +133,8 @@ def make_header(
     ``faults`` describes a seeded :class:`~repro.faults.plan.FaultPlan`
     (``spelling``, ``rate``, ``no_retry``, ``injector_seed``,
     ``injector_label``); ``fault_script`` is an explicit ``{seq: fault}``
-    schedule for a :class:`~repro.faults.injector.ScriptedFaultInjector`.
+    schedule a :class:`~repro.faults.injector.FaultInjector` follows
+    instead of drawing.
     A trace carries at most one of the two.  ``crashes`` (v2) lists
     scripted arbiter-crash points in their canonical
     ``POINT:OCCURRENCE:TARGET`` spelling; it composes with either.

@@ -29,15 +29,19 @@ request stamped with a *higher* epoch has been superseded and
 deactivates itself (``fenced``), so a paused-not-dead primary can never
 issue grants that race its successor's.
 
-Idempotency: grant responses are cached by commit id, so a retried
-``commit`` re-reads the same sequence number instead of consuming a
-second one; duplicate releases are tolerated by the core.
+Idempotency: grants of write commits are cached by commit id until
+their release, so a retried ``commit`` re-reads the same sequence
+number instead of consuming a second one; a read-only grant takes no
+sequence number and is not cached; duplicate releases are tolerated by
+the core.  Commit ids are unique cluster-wide (see
+:class:`~repro.service.node.NodeServer`), so a cached grant can only be
+the answer to its own request.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.errors import FailoverError, TransportError
 from repro.params import BulkSCConfig, SignatureConfig
@@ -74,7 +78,6 @@ class ArbiterServer(ServiceServer):
         self.records = RecordLog(config.record_path(name))
         self._factory = SignatureFactory(SignatureConfig(exact=True))
         self._grant_cache: Dict[int, dict] = {}
-        self._released: Set[int] = set()
         self._watch_task: Optional[asyncio.Task] = None
         self._seen_epoch = 1
         self._takeovers = 0
@@ -160,9 +163,7 @@ class ArbiterServer(ServiceServer):
             # Read-only (empty W) chunks consume no sequence number and
             # never enter the W list; the node records their grant at
             # the replica frontier they observed.
-            response = {"granted": True, "seq": None, "epoch": epoch}
-            self._grant_cache[commit_id] = response
-            return dict(response)
+            return {"granted": True, "seq": None, "epoch": epoch}
         seq = self.next_seq
         self.next_seq += 1
         self.core.admit(commit_id, proc, w_sig, now)
@@ -186,12 +187,9 @@ class ArbiterServer(ServiceServer):
         if fenced is not None:
             return fenced
         commit_id = int(msg["commit_id"])
-        if commit_id in self._released:
-            return {"released": True, "duplicate": True}
         self.core.release(
             commit_id, clock.monotonic(), epoch=int(msg.get("epoch", 0)) or None
         )
-        self._released.add(commit_id)
         self._grant_cache.pop(commit_id, None)
         return {"released": True, "mode": self.core.mode.value}
 

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.rng import derive_seed
 from repro.errors import ServiceError, TransportError
 from repro.service import clock
 from repro.service.certify import certify_run
@@ -100,7 +101,7 @@ async def _client_loop(
     stats: _ClientStats,
     started: float,
 ) -> None:
-    rng = random.Random((hash((options.seed, "bench", kv.index)) & 0xFFFFFFFF) or 1)
+    rng = random.Random(derive_seed(options.seed, f"bench/{kv.index}"))
     interval = 1.0 / options.rate
     n = 0
     while True:

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.engine.rng import derive_seed
 from repro.errors import ConfigError, FrameError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.service import clock
@@ -125,7 +126,7 @@ class FaultProxy:
         self.faults = faults
         # Adversary stream: deliberately seeded (reproducible chaos),
         # never feeds protocol results.
-        self._rng = random.Random((hash((seed, name)) & 0xFFFFFFFF) or 1)
+        self._rng = random.Random(derive_seed(seed, name))
         self.stats: Dict[str, int] = {
             "frames": 0, "drop": 0, "delay": 0, "dup": 0, "partition": 0,
         }
@@ -153,6 +154,20 @@ class FaultProxy:
             start <= offset < start + duration
             for start, duration in self.faults.partitions
         )
+
+    def frame_fault(self) -> Tuple[int, Optional[float]]:
+        """Roll one frame's faults: ``(copies, delay)``.
+
+        ``copies`` is 0 for a dropped frame and 2 for a duplicated one;
+        ``delay`` is the extra latency in seconds, or ``None``.
+        """
+        if self._rng.random() < self.faults.drop_rate:
+            return 0, None
+        delay = None
+        if self._rng.random() < self.faults.delay_rate:
+            span = self.faults.delay_max - self.faults.delay_min
+            delay = self.faults.delay_min + span * self._rng.random()
+        return (2 if self._rng.random() < self.faults.dup_rate else 1), delay
 
     # ------------------------------------------------------------------
     async def _handle(
@@ -191,17 +206,13 @@ class FaultProxy:
             if self._partitioned():
                 self.stats["partition"] += 1
                 continue  # blackholed: the connection stays open, silent
-            roll = self._rng.random()
-            if roll < self.faults.drop_rate:
+            copies, delay = self.frame_fault()
+            if not copies:
                 self.stats["drop"] += 1
                 continue
-            if self._rng.random() < self.faults.delay_rate:
+            if delay is not None:
                 self.stats["delay"] += 1
-                span = self.faults.delay_max - self.faults.delay_min
-                await asyncio.sleep(
-                    self.faults.delay_min + span * self._rng.random()
-                )
-            copies = 2 if self._rng.random() < self.faults.dup_rate else 1
+                await asyncio.sleep(delay)
             if copies > 1:
                 self.stats["dup"] += 1
             try:

@@ -127,7 +127,9 @@ class NodeServer(ServiceServer):
         self._peers: Dict[int, List[ServiceClient]] = {}
         self._peer_rr = 0
         # Commit pipeline state.
-        self._next_attempt = index * 1_000_000 + 1
+        #: Attempt (commit) ids: node ``index`` uses ``index + n * len(nodes)``
+        #: for n = 1, 2, ..., so ids of different nodes never collide.
+        self._next_attempt = index + len(config.nodes)
         self._inflight: Dict[int, _Attempt] = {}  # squash window (requested)
         self._granted: Dict[int, _GrantedCommit] = {}  # grant..release
         self._pending: Dict[int, dict] = {}  # buffered updates by seq
@@ -269,7 +271,7 @@ class NodeServer(ServiceServer):
             sig=self._factory.from_addresses(r_keys + w_keys),
             frontier=self.applied_upto,
         )
-        self._next_attempt += 1
+        self._next_attempt += len(self.config.nodes)
         self._inflight[attempt.id] = attempt
         return attempt
 

@@ -19,6 +19,7 @@ import asyncio
 import random
 from typing import Optional, Set
 
+from repro.engine.rng import derive_seed
 from repro.errors import FrameError, ReproError
 from repro.service.wire import read_frame, write_frame
 
@@ -34,7 +35,8 @@ class ServiceServer:
         self._stopping = asyncio.Event()
         self._conn_tasks: Set[asyncio.Task] = set()
         # Timing jitter only (backoff spreading); never feeds results.
-        self._rng = random.Random((hash((name, host, port)) & 0xFFFFFFFF) or 1)
+        # Keyed on the component name, never its port.
+        self._rng = random.Random(derive_seed(0, f"server/{name}"))
 
     # ------------------------------------------------------------------
     async def handle(self, method: str, msg: dict) -> dict:  # pragma: no cover

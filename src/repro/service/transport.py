@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.engine.rng import derive_seed
 from repro.errors import FrameError, RequestTimeoutError, TransportError
 from repro.service.wire import read_frame, write_frame
 
@@ -79,9 +80,9 @@ class ServiceClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._next_id = 1
         self._lock = asyncio.Lock()
-        # Timing jitter only — never feeds results, so any seed is fine,
-        # and deriving it from the endpoint keeps peers decorrelated.
-        self._rng = random.Random((hash((host, port, name)) & 0xFFFFFFFF) or 1)
+        # Timing jitter only — never feeds results; keyed on the client's
+        # name (never its port) so every process draws the same jitter.
+        self._rng = random.Random(derive_seed(0, f"client/{name}"))
 
     # ------------------------------------------------------------------
     async def _connect(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -196,12 +197,12 @@ class FailoverClient:
                     jitter=base.jitter,
                     timeout=base.timeout,
                 ),
-                name=f"{name or 'failover'}@{host}:{port}",
+                name=f"{name or 'failover'}[{index}]",
             )
-            for host, port in endpoints
+            for index, (host, port) in enumerate(endpoints)
         ]
         self._preferred = 0
-        self._rng = random.Random((hash((name, len(endpoints))) & 0xFFFFFFFF) or 1)
+        self._rng = random.Random(derive_seed(len(endpoints), f"failover/{name}"))
 
     @property
     def preferred_endpoint(self) -> Tuple[str, int]:

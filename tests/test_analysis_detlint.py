@@ -91,6 +91,10 @@ class TestRngAndClock:
     def test_secrets_import_flagged(self):
         assert rules_of("import secrets\n") == ["DET004"]
 
+    def test_builtin_hash_flagged(self):
+        assert rules_of("seed = hash((7, 'node0'))\n") == ["DET008"]
+        assert rules_of("seed = derive_seed(7, 'node0')\n") == []
+
     def test_key_id_flagged(self):
         assert rules_of("xs.sort(key=id)\n") == ["DET005"]
 

@@ -168,13 +168,11 @@ class TestReportAndTraces:
         assert store.read_report() == {"certified": 4}
 
     def test_save_trace_writes_file_and_log_record(self, tmp_path):
-        from repro.replay.recorder import record_run
+        from repro.replay.recorder import record_run, replay_cell
 
         store = CampaignStore.create(str(tmp_path / "c"), small_spec())
         recorded = record_run(
-            spec={"kind": "litmus", "test": "SB", "stagger": [1, 1]},
-            config_name="BSCdypvt",
-            seed=0,
+            replay_cell({"kind": "litmus", "test": "SB", "stagger": [1, 1]}, "BSCdypvt", 0)
         )
         path = store.save_trace(recorded.trace, "abc123")
         assert os.path.exists(path)

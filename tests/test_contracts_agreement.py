@@ -9,9 +9,10 @@ disagreement fails the build (agree-or-fail).
 
 import pytest
 
+from repro.campaign.spec import FaultVariant
 from repro.contracts.checker import check_trace
 from repro.contracts.composition import compose
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.workload import litmus_spec
 
 LITMUS_TESTS = ("SB", "MP", "LB", "IRIW", "CoRR", "CoWW", "WRC")
@@ -35,10 +36,11 @@ def _sweep():
 )
 def test_composition_agrees_with_sc_checker(test, seed, faults):
     recorded = record_run(
-        litmus_spec(test, stagger=()),
-        seed=seed,
-        faults=faults,
-        rate=0.05 if faults else None,
+        replay_cell(
+            litmus_spec(test, stagger=()),
+            seed=seed,
+            fault=FaultVariant(faults or "", 0.05 if faults else None),
+        )
     )
     trace = recorded.trace
     result = compose(trace.records, trace.footer)
@@ -62,10 +64,11 @@ def test_full_report_stays_clean_across_sweep():
     fault-excuse paths of the BDM/network contracts)."""
     for test in LITMUS_TESTS:
         recorded = record_run(
-            litmus_spec(test, stagger=()),
-            seed=1,
-            faults=FAULTS[1],
-            rate=0.05,
+            replay_cell(
+                litmus_spec(test, stagger=()),
+                seed=1,
+                fault=FaultVariant(FAULTS[1], 0.05),
+            )
         )
         report = check_trace(recorded.trace)
         assert report.ok, (

@@ -17,7 +17,7 @@ from repro.campaign.spec import CampaignSpec, expand_workload_arg
 from repro.campaign.store import CampaignStore
 from repro.errors import CampaignError
 from repro.contracts.checker import CHECKABLE
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.schema import write_trace
 from repro.replay.workload import litmus_spec
 
@@ -25,7 +25,7 @@ from repro.replay.workload import litmus_spec
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("contracts-campaign") / "sb.jsonl"
-    recorded = record_run(litmus_spec("SB", stagger=()), seed=0)
+    recorded = record_run(replay_cell(litmus_spec("SB", stagger=()), seed=0))
     write_trace(recorded.trace, str(path))
     return str(path)
 
@@ -34,7 +34,7 @@ def trace_path(tmp_path_factory):
 def bad_trace_path(tmp_path_factory):
     """SB with its squash record dropped: a BDM under-reporting bug."""
     path = tmp_path_factory.mktemp("contracts-campaign") / "sb-bad.jsonl"
-    recorded = record_run(litmus_spec("SB", stagger=()), seed=0)
+    recorded = record_run(replay_cell(litmus_spec("SB", stagger=()), seed=0))
     trace = recorded.trace
     kept = [r for r in trace.records if r.ev != "chunk.squash"]
     renumbered = [

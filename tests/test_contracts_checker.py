@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.campaign.spec import FaultVariant
 from repro.contracts import (
     CHECKABLE,
     COMPONENTS,
@@ -21,7 +22,7 @@ from repro.contracts import (
     render_report,
 )
 from repro.contracts.slicer import component_streams
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.workload import litmus_spec
 
 
@@ -29,13 +30,17 @@ from repro.replay.workload import litmus_spec
 def sb_trace():
     """SB has a guaranteed W∩R conflict: one delivery with sig_conflicts
     and one matching squash."""
-    return record_run(litmus_spec("SB", stagger=()), seed=0).trace
+    return record_run(replay_cell(litmus_spec("SB", stagger=()), seed=0)).trace
 
 
 @pytest.fixture(scope="module")
 def crash_trace():
     return record_run(
-        litmus_spec("MP", stagger=()), seed=0, crashes=["grant:1:arbiter0"]
+        replay_cell(
+            litmus_spec("MP", stagger=()),
+            seed=0,
+            fault=FaultVariant(crashes=("grant:1:arbiter0",)),
+        )
     ).trace
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.schema import write_trace
 from repro.replay.workload import litmus_spec
 
@@ -14,7 +14,7 @@ from repro.replay.workload import litmus_spec
 @pytest.fixture(scope="module")
 def clean_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("contracts-cli") / "sb.jsonl"
-    recorded = record_run(litmus_spec("SB", stagger=()), seed=0)
+    recorded = record_run(replay_cell(litmus_spec("SB", stagger=()), seed=0))
     write_trace(recorded.trace, str(path))
     return str(path)
 
@@ -23,7 +23,7 @@ def clean_trace(tmp_path_factory):
 def violating_trace(tmp_path_factory):
     """SB with its squash record dropped: a BDM under-reporting bug."""
     path = tmp_path_factory.mktemp("contracts-cli") / "sb-bad.jsonl"
-    recorded = record_run(litmus_spec("SB", stagger=()), seed=0)
+    recorded = record_run(replay_cell(litmus_spec("SB", stagger=()), seed=0))
     trace = recorded.trace
     kept = [r for r in trace.records if r.ev != "chunk.squash"]
     renumbered = [

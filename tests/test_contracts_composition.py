@@ -5,14 +5,14 @@ import dataclasses
 import pytest
 
 from repro.contracts.composition import compose
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.schema import TraceRecord
 from repro.replay.workload import litmus_spec
 
 
 @pytest.fixture(scope="module")
 def mp_trace():
-    return record_run(litmus_spec("MP", stagger=()), seed=0).trace
+    return record_run(replay_cell(litmus_spec("MP", stagger=()), seed=0)).trace
 
 
 def _tamper_serialize(trace, mutate):

@@ -11,22 +11,30 @@ traces, and the chaos CLI's exit-code contract.
 import pytest
 
 from repro.__main__ import _chaos_exit_code
+from repro.campaign.spec import FaultVariant
 from repro.coherence.dirbdm import DirBDM
 from repro.coherence.directory import DirectoryModule
 from repro.core.arbiter import Arbiter, ArbiterMode
 from repro.core.distributed_arbiter import DistributedArbiter, GlobalArbiter
 from repro.errors import ConfigError, ProtocolError
 from repro.faults.chaos import ChaosReport, ChaosRunRecord, run_chaos
-from repro.faults.injector import FaultInjector, ScriptedFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashPoint, FaultPlan, crash_script_from
 from repro.params import ArbiterTopology, BulkSCConfig, bsc_dypvt
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.replayer import replay_trace
 from repro.replay.schema import TraceValidationError
 from repro.replay.workload import build_workload, litmus_spec
 from repro.signatures.exact import ExactSignature
 from repro.system import run_workload
 from repro.verify.sc_checker import check_sequential_consistency
+
+
+def _crash_injector(crashes, label):
+    """An injector that fires only the scripted ``crashes``."""
+    injector = FaultInjector(label=label)
+    injector.crash_script = crash_script_from(crashes)
+    return injector
 
 
 def sig(*lines):
@@ -236,10 +244,7 @@ class TestCrashSweep:
     def test_sc_preserved_across_crash(self, point, seed, name):
         config = bsc_dypvt(seed=seed)
         programs, space, test = build_workload(litmus_spec(name, (1, 1)), config)
-        injector = ScriptedFaultInjector(
-            crash_script=crash_script_from([f"{point}:1:arbiter0"]),
-            label=f"sweep/{name}/s{seed}/{point}",
-        )
+        injector = _crash_injector([f"{point}:1:arbiter0"], f"sweep/{name}/s{seed}/{point}")
         result = run_workload(config, programs, space, fault_injector=injector)
         check = check_sequential_consistency(result.history)
         assert check.ok, check.reason
@@ -249,10 +254,7 @@ class TestCrashSweep:
         """The grant-point crash drops an in-flight W and recovers it."""
         config = bsc_dypvt(seed=0)
         programs, space, _ = build_workload(litmus_spec("MP", (1, 1)), config)
-        injector = ScriptedFaultInjector(
-            crash_script=crash_script_from(["grant:1:arbiter0"]),
-            label="grant-crash",
-        )
+        injector = _crash_injector(["grant:1:arbiter0"], "grant-crash")
         result = run_workload(config, programs, space, fault_injector=injector)
         assert injector.crashes_fired == 1
         assert result.stat("recovery.crashes") == 1
@@ -277,10 +279,7 @@ class TestDistributedCrash:
     def test_range_arbiter_crash_preserves_sc(self, target):
         config = distributed_config()
         programs, space, test = build_workload(litmus_spec("MP", (1, 1)), config)
-        injector = ScriptedFaultInjector(
-            crash_script=crash_script_from([f"grant:1:{target}"]),
-            label=f"dist/{target}",
-        )
+        injector = _crash_injector([f"grant:1:{target}"], f"dist/{target}")
         result = run_workload(config, programs, space, fault_injector=injector)
         assert result.stat("recovery.crashes") == 1
         assert check_sequential_consistency(result.history).ok
@@ -290,10 +289,7 @@ class TestDistributedCrash:
         """Losing the W cache costs round trips, never a degraded phase."""
         config = distributed_config()
         programs, space, _ = build_workload(litmus_spec("SB", (1, 1)), config)
-        injector = ScriptedFaultInjector(
-            crash_script=crash_script_from(["commit-request:1:global"]),
-            label="dist/global",
-        )
+        injector = _crash_injector(["commit-request:1:global"], "dist/global")
         result = run_workload(config, programs, space, fault_injector=injector)
         assert result.stat("recovery.global_crashes") == 1
         assert result.stat("recovery.crashes") == 0
@@ -329,10 +325,12 @@ class TestRandomCrashPlan:
 class TestCrashReplay:
     def test_crash_trace_replays_without_divergence(self):
         run = record_run(
-            spec=litmus_spec("MP", (1, 1)),
-            config_name="BSCdypvt",
-            seed=0,
-            crashes=["grant:1:arbiter0"],
+            replay_cell(
+                litmus_spec("MP", (1, 1)),
+                "BSCdypvt",
+                seed=0,
+                fault=FaultVariant(crashes=("grant:1:arbiter0",)),
+            )
         )
         assert run.trace.header["crashes"] == ["grant:1:arbiter0"]
         kinds = {r.ev for r in run.trace.records}
@@ -341,12 +339,12 @@ class TestCrashReplay:
         assert result.ok, result.describe()
 
     def test_v1_traces_still_accepted(self):
-        run = record_run(spec=litmus_spec("SB", (1, 1)), seed=0)
+        run = record_run(replay_cell(litmus_spec("SB", (1, 1)), seed=0))
         run.trace.header["version"] = 1
         run.trace.validate()  # must not raise
 
     def test_future_versions_rejected(self):
-        run = record_run(spec=litmus_spec("SB", (1, 1)), seed=0)
+        run = record_run(replay_cell(litmus_spec("SB", (1, 1)), seed=0))
         run.trace.header["version"] = 3
         with pytest.raises(TraceValidationError):
             run.trace.validate()

@@ -33,7 +33,7 @@ import pytest
 from repro.harness.perf import _commit_heavy_config, run_litmus_cell
 from repro.harness.runner import ALL_APPS, build_app_workload
 from repro.params import NAMED_CONFIGS
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.schema import write_trace
 from repro.system import run_workload
 from repro.verify.litmus import all_litmus_tests
@@ -98,7 +98,7 @@ def app_digest(config_name, app):
 
 
 def replay_digest(config_name, spec_name):
-    recorded = record_run(REPLAY_SPECS[spec_name], config_name=config_name, seed=0)
+    recorded = record_run(replay_cell(REPLAY_SPECS[spec_name], config_name, seed=0))
     assert recorded.error is None, recorded.error
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")

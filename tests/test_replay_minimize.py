@@ -3,7 +3,8 @@
 import pytest
 
 from repro.replay.minimizer import MinimizeError, minimize_trace
-from repro.replay.recorder import record_run
+from repro.campaign.spec import FaultVariant
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.replayer import replay_trace
 from repro.replay.schema import read_trace, write_trace
 from repro.replay.workload import litmus_spec
@@ -16,8 +17,11 @@ def multi_fault_failure():
     so minimization has real work to do (see test below).
     """
     run = record_run(
-        litmus_spec("MP", (1, 60)), seed=6, faults="drop,delay,dup",
-        no_retry=True,
+        replay_cell(
+            litmus_spec("MP", (1, 60)),
+            seed=6,
+            fault=FaultVariant("drop,delay,dup", no_retry=True),
+        )
     )
     assert run.failed and run.error is not None
     assert len(run.trace.fault_records) >= 3
@@ -58,8 +62,11 @@ class TestMinimize:
 
     def test_single_fault_failure_minimizes_to_itself(self):
         run = record_run(
-            litmus_spec("SB", (1, 1)), seed=0, faults="kill-acks",
-            no_retry=True,
+            replay_cell(
+                litmus_spec("SB", (1, 1)),
+                seed=0,
+                fault=FaultVariant("kill-acks", no_retry=True),
+            )
         )
         assert run.failed
         result = minimize_trace(run.trace, budget=100)
@@ -67,7 +74,7 @@ class TestMinimize:
         assert result.error is not None
 
     def test_passing_trace_rejected(self):
-        run = record_run(litmus_spec("SB", (1, 1)), seed=0)
+        run = record_run(replay_cell(litmus_spec("SB", (1, 1)), seed=0))
         assert not run.failed
         with pytest.raises(MinimizeError, match="passing run"):
             minimize_trace(run.trace)

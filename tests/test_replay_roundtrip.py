@@ -7,7 +7,8 @@ identical event stream, final memory image, registers, and SC verdict.
 
 import pytest
 
-from repro.replay.recorder import record_run, save_chaos_failure
+from repro.campaign.spec import FaultVariant
+from repro.replay.recorder import record_run, replay_cell, save_chaos_failure
 from repro.replay.replayer import replay_trace
 from repro.replay.schema import read_trace, write_trace
 from repro.replay.workload import litmus_spec
@@ -19,7 +20,7 @@ SEEDS = [0, 1, 2]
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("test_name", [t.name for t in all_litmus_tests()])
 def test_litmus_round_trip(test_name, seed):
-    run = record_run(litmus_spec(test_name, (1, 60)), seed=seed)
+    run = record_run(replay_cell(litmus_spec(test_name, (1, 60)), seed=seed))
     assert run.error is None
     assert run.sc_ok is True
     result = replay_trace(run.trace)
@@ -39,7 +40,9 @@ def test_litmus_round_trip(test_name, seed):
 def test_faulted_round_trip(seed):
     """A chaos-style plan (drop,delay,dup) still replays bit-identically."""
     run = record_run(
-        litmus_spec("MP", (1, 60)), seed=seed, faults="drop,delay,dup"
+        replay_cell(
+            litmus_spec("MP", (1, 60)), seed=seed, fault=FaultVariant("drop,delay,dup")
+        )
     )
     result = replay_trace(run.trace)
     assert result.ok, result.describe()
@@ -56,7 +59,7 @@ def test_faulted_round_trip(seed):
 def test_file_round_trip(tmp_path):
     """Writing and re-reading the trace changes nothing about replay."""
     path = str(tmp_path / "sb.jsonl")
-    run = record_run(litmus_spec("SB", (1, 1)), seed=0)
+    run = record_run(replay_cell(litmus_spec("SB", (1, 1)), seed=0))
     write_trace(run.trace, path)
     loaded = read_trace(path)
     assert loaded.records == run.trace.records
@@ -69,7 +72,9 @@ def test_failing_run_replays_with_same_error(tmp_path):
     """kill-acks + no-retry fails diagnosably; the failure itself replays."""
     path = str(tmp_path / "fail.jsonl")
     run = record_run(
-        litmus_spec("SB", (1, 1)), seed=0, faults="kill-acks", no_retry=True
+        replay_cell(
+            litmus_spec("SB", (1, 1)), seed=0, fault=FaultVariant("kill-acks", no_retry=True)
+        )
     )
     assert run.error is not None and "FaultInducedError" in run.error
     write_trace(run.trace, path)
@@ -82,7 +87,7 @@ def test_replay_detects_tampering():
     """A doctored record stream produces a precise first-divergence."""
     from dataclasses import replace
 
-    run = record_run(litmus_spec("SB", (1, 1)), seed=0)
+    run = record_run(replay_cell(litmus_spec("SB", (1, 1)), seed=0))
     idx = next(
         i for i, r in enumerate(run.trace.records) if r.ev == "arb.grant"
     )
@@ -113,7 +118,74 @@ def test_chaos_failure_saved_as_replayable_trace(tmp_path):
 
 
 def test_stats_identity_across_replay():
-    run = record_run(litmus_spec("IRIW", (60, 1)), seed=1)
+    run = record_run(replay_cell(litmus_spec("IRIW", (60, 1)), seed=1))
     result = replay_trace(run.trace)
     assert result.ok
     assert result.replayed.trace.footer["stats"] == run.trace.footer["stats"]
+
+
+@pytest.mark.parametrize(
+    "faults,rate", [("drop,delay,dup", 0.3), ("reorder,storm,squash", 0.5)]
+)
+def test_scripted_rerun_matches_drawn_run(faults, rate):
+    """Drawn faults lifted into a script re-apply exactly, draw-free."""
+    from dataclasses import replace
+
+    from repro.replay.minimizer import _fault_entries, _script_from
+
+    cell = replay_cell(
+        litmus_spec("SB", (1, 60)), seed=0, fault=FaultVariant(faults, rate)
+    )
+    drawn = record_run(cell)
+    assert drawn.error is None
+    assert {r.data["kind"] for r in drawn.trace.fault_records} == set(
+        faults.split(",")
+    )
+    script = _script_from(_fault_entries(drawn.trace))
+    scripted = record_run(replace(cell, fault=FaultVariant(), fault_script=script))
+    assert scripted.trace.footer["injector_draws"] == 0
+    old, new = drawn.trace.fault_records, scripted.trace.fault_records
+    assert len(old) == len(new)
+    for a, b in zip(old, new):
+        assert b.data["detail"] == a.data["detail"] + " (scripted)"
+        assert {**b.data, "detail": ""} == {**a.data, "detail": ""}
+        assert (a.t, a.p) == (b.t, b.p)
+    for key in ("final_memory", "registers", "cycles"):
+        assert scripted.trace.footer[key] == drawn.trace.footer[key]
+
+
+def test_cell_from_header_inverts_cell_header():
+    from repro.campaign.queue import expand_cells
+    from repro.campaign.spec import CampaignSpec
+    from repro.replay.recorder import cell_from_header, cell_header
+    from repro.replay.workload import app_spec
+
+    cells = [
+        replay_cell(litmus_spec("MP", (1, 60)), seed=2),
+        replay_cell(
+            app_spec("barnes", 600, 3),
+            "BSCexact",
+            seed=3,
+            fault=FaultVariant("drop,dup", 0.1, True, ("grant:1:arbiter0",)),
+        ),
+        replay_cell(
+            litmus_spec("SB", (1, 1), dropped_threads=[1]),
+            seed=1,
+            fault=FaultVariant(no_retry=True),
+            fault_script={"deliver": {"3": {"kind": "drop", "extra": 0.0}}},
+        ),
+    ]
+    for cell in cells:
+        for kind in ("run", "chaos", "minimized"):
+            header = cell_header(cell, kind)
+            assert cell_from_header(header) == cell
+            assert cell_header(cell_from_header(header), kind) == header
+    # A campaign cell's default injector identity survives the header.
+    spec = CampaignSpec.build(
+        "inverse", ["BSCdypvt"], ["litmus:SB/1-1"], fault_args=["drop@0.2!"]
+    )
+    (cell,) = expand_cells(spec)
+    header = cell_header(cell, "chaos")
+    back = cell_from_header(header)
+    assert back.injector_identity() == cell.injector_identity()
+    assert cell_header(back, "chaos") == header

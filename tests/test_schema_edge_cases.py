@@ -12,7 +12,7 @@ import pytest
 
 from repro.contracts import check_records, check_trace
 from repro.contracts.slicer import component_streams, slice_trace
-from repro.replay.recorder import record_run
+from repro.replay.recorder import record_run, replay_cell
 from repro.replay.schema import (
     SUPPORTED_VERSIONS,
     Trace,
@@ -26,7 +26,7 @@ from repro.replay.workload import litmus_spec
 
 @pytest.fixture(scope="module")
 def recorded():
-    return record_run(litmus_spec("MP", stagger=()), seed=0).trace
+    return record_run(replay_cell(litmus_spec("MP", stagger=()), seed=0)).trace
 
 
 class TestZeroRecoveryRecords:

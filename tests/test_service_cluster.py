@@ -196,3 +196,40 @@ class TestLiveCertification:
         run(body())
         result = certify_run(str(tmp_path), seed=5)
         assert result.ok
+
+
+class TestCommitIds:
+    """Commit ids name one attempt cluster-wide; the arbiter trusts them."""
+
+    def test_node_attempt_ids_never_collide(self, config):
+        """Node ``i`` numbers attempts ``i + n * len(nodes)``: disjoint ranges."""
+        nodes = [NodeServer(config, i) for i in range(len(config.nodes))]
+        try:
+            ids = [
+                [node._new_attempt(0, seq, []).id for seq in range(1, 6)]
+                for node in nodes
+            ]
+        finally:
+            for node in nodes:
+                node.records.close()
+        for index, node_ids in enumerate(ids):
+            assert all(i % len(nodes) == index for i in node_ids), ids
+        assert len({i for node_ids in ids for i in node_ids}) == 5 * len(nodes)
+
+    def test_read_only_grant_is_not_cached(self, config):
+        """A reused read-only id is arbitrated again, not served a stale grant."""
+        arbiter = ArbiterServer(config, 0)
+        try:
+            epoch = arbiter.core.epoch
+            read = {"epoch": epoch, "proc": 100, "r_keys": [5], "read_only": True}
+            assert arbiter._handle_commit({**read, "commit_id": 7})["granted"]
+            write = {"epoch": epoch, "proc": 101, "w_keys": [5], "commit_id": 8}
+            assert arbiter._handle_commit(write)["seq"] == 1
+            # W = {5} is now committing: the read must be denied under its
+            # old id exactly as under a fresh one.
+            for commit_id in (7, 9):
+                response = arbiter._handle_commit({**read, "commit_id": commit_id})
+                assert not response["granted"], (commit_id, response)
+                assert "collides" in response["reason"]
+        finally:
+            arbiter.records.close()

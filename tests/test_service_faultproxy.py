@@ -1,6 +1,10 @@
 """The frame-aware fault proxy against a live loopback echo server."""
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,32 @@ class TestFaultProxy:
         second = run(pattern(42))
         assert first == second
         assert "drop" in first and "ok" in first
+
+    def test_fault_pattern_is_the_same_in_every_process(self):
+        """Per-frame draws depend on (seed, name), not on PYTHONHASHSEED."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "from repro.service.faultproxy import FaultProxy, WireFaults\n"
+            "faults = WireFaults(drop_rate=0.2, delay_rate=0.3,"
+            " delay_min=0.001, delay_max=0.01, dup_rate=0.2)\n"
+            "proxy = FaultProxy('proxy:node0', ('127.0.0.1', 1),"
+            " ('127.0.0.1', 2), faults, seed=42)\n"
+            "print([proxy.frame_fault() for _ in range(32)])\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "(0, None)" in outputs[0] and "(2, " in outputs[0]
 
 
 class TestProxyFleet:

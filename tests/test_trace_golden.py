@@ -28,10 +28,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.faults.injector import ScriptedFaultInjector
+from repro.campaign.spec import FaultVariant
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import crash_script_from
 from repro.params import ArbiterTopology, bsc_dypvt
-from repro.replay.recorder import TraceRecorder, record_run
+from repro.replay.recorder import TraceRecorder, record_run, replay_cell
 from repro.replay.schema import make_header, write_trace
 from repro.replay.workload import app_spec, build_workload, litmus_spec
 from repro.system import Machine
@@ -65,7 +66,7 @@ def _events(trace) -> set:
 
 def faulted_pin(config_name: str, spec: dict) -> dict:
     recorded = record_run(
-        spec, config_name=config_name, seed=0, faults=FAULTS, rate=FAULT_RATE
+        replay_cell(spec, config_name, seed=0, fault=FaultVariant(FAULTS, FAULT_RATE))
     )
     assert recorded.error is None, recorded.error
     assert "fault" in _events(recorded.trace)
@@ -73,8 +74,9 @@ def faulted_pin(config_name: str, spec: dict) -> dict:
 
 
 def crash_pin() -> dict:
-    recorded = record_run(MP, config_name="BSCdypvt", seed=0,
-                          crashes=["grant:1:arbiter0"])
+    recorded = record_run(
+        replay_cell(MP, "BSCdypvt", seed=0, fault=FaultVariant(crashes=("grant:1:arbiter0",)))
+    )
     assert recorded.error is None, recorded.error
     assert {"arb.crash", "arb.reconstruct", "arb.recovered"} <= _events(
         recorded.trace
@@ -93,9 +95,8 @@ def distributed_pin(crash: str) -> dict:
     """A recorder attached by hand to a two-directory distributed machine."""
     config = distributed_config()
     programs, space, __ = build_workload(RADIX, config)
-    injector = ScriptedFaultInjector(
-        crash_script=crash_script_from([crash]), label=f"dist/{crash}"
-    )
+    injector = FaultInjector(label=f"dist/{crash}")
+    injector.crash_script = crash_script_from([crash])
     machine = Machine(
         config, programs, space, record_history=True, fault_injector=injector
     )
