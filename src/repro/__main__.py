@@ -7,7 +7,8 @@ Commands:
 * ``compare`` — run one application under several configurations and
   print speedups normalized to the first.
 * ``litmus`` — run the litmus suite under a configuration; exits 1 if
-  a model that guarantees SC shows a forbidden outcome.
+  a model that guarantees SC shows a forbidden outcome, or if any run
+  raises a typed error.
 * ``chaos`` — fault-injection campaigns against the commit pipeline.
 * ``analyze`` — static analysis: conflict graphs, races, SC-outcome
   enumeration, and the determinism lint (no simulation).
@@ -116,9 +117,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_litmus(args: argparse.Namespace) -> int:
-    from repro.replay.workload import LITMUS_STAGGERS, build_workload, litmus_spec
-    from repro.verify.litmus import all_litmus_tests
-    from repro.verify.sc_checker import check_sequential_consistency
+    from repro.replay.recorder import replay_cell, run_cell
+    from repro.replay.workload import LITMUS_STAGGERS, litmus_spec, select_litmus_tests
 
     config_factory = NAMED_CONFIGS.get(args.config)
     if config_factory is None:
@@ -126,30 +126,32 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
         return 2
     # RC and TSO may legally show SC-forbidden outcomes; every other
     # model guarantees SC, so any forbidden outcome or witness failure
-    # under it is a simulator bug.
+    # under it is a simulator bug.  A typed error is a failure under all.
     relaxed = config_factory().model in (
         ConsistencyModelKind.RC,
         ConsistencyModelKind.TSO,
     )
     print(f"litmus under {args.config}:")
     exit_code = 0
-    for test in all_litmus_tests():
+    for test in select_litmus_tests():
         forbidden = failures = runs = 0
+        errors = []
         for seed in range(args.seed, args.seed + 3):
-            config = config_factory(seed=seed)
             for stagger in LITMUS_STAGGERS:
                 runs += 1
-                programs, space, __ = build_workload(
-                    litmus_spec(test.name, stagger), config
-                )
-                result = run_workload(config, programs, space)
-                forbidden += test.forbidden(result.registers)
-                failures += not check_sequential_consistency(result.history).ok
+                spec = litmus_spec(test.name, stagger)
+                run = run_cell(replay_cell(spec, args.config, seed))
+                if run.error is not None:
+                    errors.append(f"s{seed}/g{'-'.join(map(str, stagger))}: {run.error}")
+                forbidden += bool(run.forbidden)
+                failures += run.sc_ok is False
         print(
             f"  {test.name:6s} forbidden {forbidden:2d}/{runs}   "
             f"witness failures {failures:2d}/{runs}"
         )
-        if (forbidden or failures) and not relaxed:
+        for error in errors:
+            print(f"    ERROR {error}")
+        if errors or ((forbidden or failures) and not relaxed):
             exit_code = 1
     return exit_code
 

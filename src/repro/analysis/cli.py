@@ -74,7 +74,7 @@ def _resolve_programs(
 
     Returns ``(name, programs, litmus_test_or_None)`` triples.
     """
-    from repro.verify.litmus import all_litmus_tests
+    from repro.replay.workload import select_litmus_tests
 
     if args.app is not None:
         from repro.harness.runner import ALL_APPS, build_app_workload
@@ -87,15 +87,9 @@ def _resolve_programs(
             args.app, config, args.instructions, args.seed
         )
         return [(args.app, list(workload.programs), None)]
-    tests = all_litmus_tests()
-    if args.litmus != "all":
-        tests = [t for t in tests if t.name == args.litmus]
-        if not tests:
-            known = ", ".join(t.name for t in all_litmus_tests())
-            raise ProgramError(
-                f"unknown litmus test {args.litmus!r} (known: {known})"
-            )
-    return [(t.name, _litmus_programs(t), t) for t in tests]
+    return [
+        (t.name, _litmus_programs(t), t) for t in select_litmus_tests(args.litmus)
+    ]
 
 
 def _emit(payloads: List[Dict[str, object]], texts: List[str], as_json: bool) -> None:

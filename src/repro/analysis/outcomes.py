@@ -102,9 +102,6 @@ class EnumerationResult:
     def ok(self) -> bool:
         return not self.deadlocks
 
-    def register_states(self) -> List[Dict[int, Dict[str, int]]]:
-        return [s.register_map() for s in self.final_states]
-
 
 # Internal search state ------------------------------------------------
 

@@ -47,6 +47,11 @@ class CampaignCell:
     #: :class:`~repro.faults.injector.FaultInjector`).  Set by replay and
     #: the minimizer; outside the memo tuple like ``injector``.
     fault_script: Optional[dict] = None
+    #: A forced-denial schedule: ``(proc, n)`` pairs, each turning the
+    #: first ``n`` grants to ``proc`` into denials (see
+    #: :func:`~repro.replay.recorder.force_denials`).  Set by the
+    #: schedule explorer; outside the memo tuple like ``injector``.
+    denials: Tuple[Tuple[int, int], ...] = ()
 
     def injector_identity(self) -> Tuple[int, str]:
         """The ``(seed, label)`` of this cell's fault injector."""

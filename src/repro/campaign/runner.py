@@ -145,6 +145,7 @@ def execute_cell(cell: CampaignCell) -> dict:
             faults_injected=injector.total_injected,
             fault_summary=injector.summary(),
             fault_trace=[asdict(record) for record in run.fault_trace],
+            crashes=injector.crashes_fired,
         )
     return _outcome(
         cell,
@@ -153,7 +154,7 @@ def execute_cell(cell: CampaignCell) -> dict:
         faults_injected=injector.total_injected,
         fault_summary=injector.summary(),
         sc_reason=run.sc_reason if run.status == "sc-violation" else "",
-        crashes=int(run.result.stat("recovery.crashes")),
+        crashes=injector.crashes_fired,
         recovery_cycles=run.result.stat("recovery.total_cycles.mean"),
     )
 

@@ -29,7 +29,8 @@ The CLI accepts shorthand strings and expands them here:
 * ``litmus`` — every litmus test under the quick stagger grid
   (:data:`repro.replay.workload.QUICK_LITMUS_STAGGERS`);
 * ``litmus:SB`` — one test under the quick stagger grid;
-* ``litmus:SB/1-60`` — one test under one stagger;
+* ``litmus:SB/1-60`` — one test under one stagger (``litmus:all/1-60``
+  is every test under it);
 * ``app:fft`` — one synthetic application;
 * ``apps`` — the first three synthetic applications (the chaos set);
 * ``contracts:TRACE.jsonl`` — one cell per component contract (plus the
@@ -41,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import CampaignError, ConfigError
+from repro.errors import CampaignError, ConfigError, ProgramError
 from repro.faults.plan import CrashPoint, FaultPlan
 from repro.params import CERTIFY_MAX_EVENTS
-from repro.replay.workload import QUICK_LITMUS_STAGGERS
+from repro.replay.workload import QUICK_LITMUS_STAGGERS, select_litmus_tests
 
 SPEC_VERSION = 1
 
@@ -139,10 +140,12 @@ class FaultVariant:
         return variant
 
 
-def _litmus_names() -> List[str]:
-    from repro.verify.litmus import all_litmus_tests
-
-    return [t.name for t in all_litmus_tests()]
+def _litmus_tests(name: str = "all") -> list:
+    """The litmus tests ``name`` selects; an unknown name is a CampaignError."""
+    try:
+        return select_litmus_tests(name)
+    except ProgramError as exc:
+        raise CampaignError(str(exc)) from None
 
 
 def expand_workload_arg(arg: str) -> List[dict]:
@@ -150,8 +153,8 @@ def expand_workload_arg(arg: str) -> List[dict]:
     text = arg.strip()
     if text == "litmus":
         return [
-            {"kind": "litmus", "test": name, "stagger": list(stagger)}
-            for name in _litmus_names()
+            {"kind": "litmus", "test": test.name, "stagger": list(stagger)}
+            for test in _litmus_tests()
             for stagger in QUICK_LITMUS_STAGGERS
         ]
     if text == "apps":
@@ -171,13 +174,9 @@ def expand_workload_arg(arg: str) -> List[dict]:
                 raise CampaignError(
                     f"bad stagger {stagger_text!r} in workload {arg!r}"
                 ) from None
-        if rest not in _litmus_names():
-            raise CampaignError(
-                f"unknown litmus test {rest!r} "
-                f"(known: {', '.join(_litmus_names())})"
-            )
         return [
-            {"kind": "litmus", "test": rest, "stagger": list(stagger)}
+            {"kind": "litmus", "test": test.name, "stagger": list(stagger)}
+            for test in _litmus_tests(rest)
             for stagger in stagger_grid
         ]
     if text.startswith("app:"):
@@ -257,9 +256,9 @@ class CampaignSpec:
         for workload in self.workloads:
             kind = workload.get("kind")
             if kind == "litmus":
-                if workload.get("test") not in _litmus_names():
+                if len(_litmus_tests(workload.get("test"))) != 1:
                     raise CampaignError(
-                        f"unknown litmus test {workload.get('test')!r}"
+                        "a litmus workload names one test, not 'all'"
                     )
             elif kind == "app":
                 from repro.harness.runner import ALL_APPS

@@ -32,9 +32,6 @@ class DirectoryEntry:
     dirty: bool = False
     owner: Optional[int] = None
 
-    def is_cached_anywhere(self) -> bool:
-        return bool(self.sharers)
-
     def make_owner(self, proc: int) -> None:
         self.dirty = True
         self.owner = proc

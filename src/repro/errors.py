@@ -120,15 +120,6 @@ class RequestTimeoutError(TransportError):
     """A request exhausted its per-request timeout across every retry."""
 
 
-class StaleEpochError(ServiceError):
-    """A request quoted an epoch older than the arbiter's current lease.
-
-    The service-level *writer fencing* signal: the quoted lease died with
-    a previous arbiter incarnation, so the request must re-enter under
-    the live epoch (normally after the takeover fence reaches the node).
-    """
-
-
 class FailoverError(ServiceError):
     """Standby takeover could not restore arbitration service.
 

@@ -36,7 +36,12 @@ from repro.replay.schema import (
     read_trace,
     write_trace,
 )
-from repro.replay.workload import app_spec, litmus_spec, workload_name
+from repro.replay.workload import (
+    app_spec,
+    litmus_spec,
+    select_litmus_tests,
+    workload_name,
+)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -56,18 +61,11 @@ def _parse_stagger(text: str) -> List[int]:
 def _record_targets(args: argparse.Namespace) -> List[dict]:
     if args.app is not None:
         return [app_spec(args.app, args.instructions, args.seed)]
-    from repro.verify.litmus import all_litmus_tests
-
     stagger = _parse_stagger(args.stagger)
-    tests = all_litmus_tests()
-    if args.litmus not in (None, "all"):
-        tests = [t for t in tests if t.name == args.litmus]
-        if not tests:
-            known = ", ".join(t.name for t in all_litmus_tests())
-            raise ProgramError(
-                f"unknown litmus test {args.litmus!r} (known: {known})"
-            )
-    return [litmus_spec(t.name, stagger) for t in tests]
+    return [
+        litmus_spec(t.name, stagger)
+        for t in select_litmus_tests(args.litmus or "all")
+    ]
 
 
 def _trace_path(out: str, spec: dict, multiple: bool) -> str:

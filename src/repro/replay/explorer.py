@@ -2,11 +2,13 @@
 
 The explorer drives each litmus test through many *dynamic* schedules —
 seed sweeps, thread-stagger variation (random-walk through the
-interleaving space), and **commit-order permutation**: a wrapper on the
-arbiter's ``decide`` forcibly denies the first N otherwise-granted
-requests of a chosen processor, reordering chunk commits without
-touching protocol state (a denial is a legal arbiter answer; the chunk
-simply retries later).
+interleaving space), and **commit-order permutation**: a forced-denial
+schedule (:attr:`~repro.campaign.queue.CampaignCell.denials`) turns the
+first N otherwise-granted requests of a chosen processor into denials,
+reordering chunk commits without touching protocol state (a denial is
+a legal arbiter answer; the chunk simply retries later).  Every run is
+a campaign cell run through :func:`~repro.replay.recorder.run_cell`, so
+it records, replays and minimizes like any other cell.
 
 Every observed final state — registers plus the final values of the
 test's shared variables — is checked against the *static* SC outcome
@@ -14,29 +16,27 @@ set from :func:`repro.analysis.outcomes.enumerate_sc_outcomes` at
 ``chunk_size=1``.  The containment contract is one-directional and
 strict: **dynamic ⊆ static**.  A dynamic state missing from the static
 set means a consistency bug in the simulator (or an enumerator bug) —
-either way a finding.  The explorer also re-runs the SC witness checker
-and the test's forbidden-outcome predicate on every run.
+either way a finding.  Each run's SC witness verdict and
+forbidden-outcome verdict come from ``run_cell`` as well.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.outcomes import enumerate_sc_outcomes
 from repro.cpu.thread import ThreadProgram
-from repro.errors import ProgramError, ReproError
-from repro.params import CERTIFY_MAX_EVENTS, NAMED_CONFIGS
+from repro.errors import ProgramError
+from repro.params import NAMED_CONFIGS
+from repro.replay.recorder import replay_cell, run_cell
 from repro.replay.workload import (
     LITMUS_STAGGERS,
     QUICK_LITMUS_STAGGERS,
-    build_workload,
     litmus_addresses,
     litmus_spec,
+    select_litmus_tests,
 )
-from repro.verify.litmus import all_litmus_tests
-from repro.verify.sc_checker import check_sequential_consistency
 
 _StateKey = Tuple[tuple, tuple]
 
@@ -108,33 +108,6 @@ class ExploreReport:
         return "\n".join(lines)
 
 
-def force_denials(machine, denials: Dict[int, int]) -> None:
-    """Wrap the arbiter to deny the first N grants per processor.
-
-    The wrapper turns would-be grants into denials — a response the
-    protocol already handles via retry — so commit order is permuted
-    without ever forging a grant or touching arbiter bookkeeping
-    (``decide`` is stateless; admission happens separately).  It wraps
-    the machine's one arbiter front end, so it works on both topologies.
-    """
-    arbiter = machine.arbiter
-    if arbiter is None:
-        return
-    remaining = dict(denials)
-    original_decide = arbiter.decide
-
-    def perturbed_decide(proc, *args, **kwargs):
-        decision = original_decide(proc, *args, **kwargs)
-        if decision.granted and remaining.get(proc, 0) > 0:
-            remaining[proc] -= 1
-            return dataclasses.replace(
-                decision, granted=False, reason="explorer forced denial"
-            )
-        return decision
-
-    arbiter.decide = perturbed_decide
-
-
 def _static_key(state) -> _StateKey:
     regs = state.registers
     mem = tuple(sorted((a, v) for a, v in state.memory if v != 0))
@@ -155,12 +128,12 @@ def _dynamic_key(registers, memory, num_threads: int, addrs: Iterable[int]) -> _
 
 def _perturbation_schedules(
     num_threads: int, max_denials: int
-) -> List[Dict[int, int]]:
-    schedules: List[Dict[int, int]] = []
-    for proc in range(num_threads):
-        for n in range(1, max_denials + 1):
-            schedules.append({proc: n})
-    return schedules
+) -> List[Tuple[Tuple[int, int], ...]]:
+    return [
+        ((proc, n),)
+        for proc in range(num_threads)
+        for n in range(1, max_denials + 1)
+    ]
 
 
 def explore(
@@ -170,17 +143,16 @@ def explore(
     max_denials: int = 2,
     quick: bool = False,
 ) -> ExploreReport:
-    """Sweep schedules for each litmus test and cross-validate statically."""
-    from repro.system import Machine
+    """Sweep schedules for each litmus test and cross-validate statically.
 
+    Every dynamic run is a :class:`~repro.campaign.queue.CampaignCell`
+    (one per seed × stagger, one per forced-denial schedule) run through
+    :func:`~repro.replay.recorder.run_cell`, which supplies the SC
+    verdict, the forbidden-outcome verdict and any typed error.
+    """
     if config_name not in NAMED_CONFIGS:
         raise ProgramError(f"unknown configuration {config_name!r}")
-    tests = all_litmus_tests()
-    if litmus != "all":
-        tests = [t for t in tests if t.name == litmus]
-        if not tests:
-            known = ", ".join(t.name for t in all_litmus_tests())
-            raise ProgramError(f"unknown litmus test {litmus!r} (known: {known})")
+    tests = select_litmus_tests(litmus)
     seeds = tuple(seeds)
     staggers = QUICK_LITMUS_STAGGERS if quick else LITMUS_STAGGERS
     report = ExploreReport(
@@ -208,46 +180,42 @@ def explore(
         num_threads = len(bare_programs)
         # Dynamic side: seed × stagger sweep plus commit-order
         # perturbations at the arbiter.
-        runs: List[Tuple[str, int, Tuple[int, ...], Optional[Dict[int, int]]]] = []
-        for seed in seeds:
-            for stagger in staggers:
-                runs.append((f"s{seed}/g{'-'.join(map(str, stagger))}", seed,
-                             stagger, None))
-        schedules = _perturbation_schedules(
-            num_threads, 1 if quick else max_denials
-        )
-        for denials in schedules:
-            label = ",".join(f"P{p}x{n}" for p, n in denials.items())
-            runs.append((f"s{seeds[0]}/deny[{label}]", seeds[0], staggers[0],
-                         denials))
-        observed: Set[_StateKey] = set()
-        for run_label, seed, stagger, denials in runs:
-            result.runs += 1
-            config = NAMED_CONFIGS[config_name](seed=seed)
-            programs, space, __ = build_workload(
-                litmus_spec(test.name, stagger), config
+        runs = [
+            (
+                f"s{seed}/g{'-'.join(map(str, stagger))}",
+                replay_cell(litmus_spec(test.name, stagger), config_name, seed),
             )
-            machine = Machine(config, programs, space, record_history=True)
-            if denials:
-                force_denials(machine, denials)
-            try:
-                run = machine.run(max_events=CERTIFY_MAX_EVENTS)
-            except ReproError as exc:
-                result.errors.append(
-                    f"{run_label}: {type(exc).__name__}: {exc}"
-                )
+            for seed in seeds
+            for stagger in staggers
+        ]
+        for denials in _perturbation_schedules(
+            num_threads, 1 if quick else max_denials
+        ):
+            label = ",".join(f"P{p}x{n}" for p, n in denials)
+            runs.append((
+                f"s{seeds[0]}/deny[{label}]",
+                replay_cell(
+                    litmus_spec(test.name, staggers[0]), config_name, seeds[0],
+                    denials=denials,
+                ),
+            ))
+        observed: Set[_StateKey] = set()
+        for run_label, cell in runs:
+            result.runs += 1
+            run = run_cell(cell)
+            if run.error is not None:
+                result.errors.append(f"{run_label}: {run.error}")
                 continue
             key = _dynamic_key(
-                run.registers, machine.memory, num_threads, static_addrs
+                run.result.registers, run.result.memory, num_threads, static_addrs
             )
             if key not in observed:
                 observed.add(key)
                 if key not in static_keys:
                     result.new_states.append(f"{run_label}: {key}")
-            check = check_sequential_consistency(run.history)
-            if not check.ok:
-                result.sc_failures.append(f"{run_label}: {check.reason}")
-            if test.forbidden(run.registers):
+            if run.sc_ok is False:
+                result.sc_failures.append(f"{run_label}: {run.sc_reason}")
+            if run.forbidden:
                 result.forbidden_runs.append(run_label)
         result.dynamic_states = len(observed)
     return report

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.replay.recorder import CellRun, cell_from_header, record_run, replay_cell
 from repro.replay.schema import Trace
+from repro.replay.workload import select_litmus_tests
 
 #: One scripted fault entry: (channel, seq, payload-dict).
 _FaultEntry = Tuple[str, int, dict]
@@ -142,6 +143,7 @@ class _Minimizer:
             fault=replace(self.cell.fault, faults="", rate=None, crashes=()),
             fault_script=_script_from(entries),
             max_events=self.cell.max_events,
+            denials=self.cell.denials,
         )
         return record_run(candidate, kind=kind)
 
@@ -187,11 +189,8 @@ class _Minimizer:
     ) -> List[int]:
         spec = self.cell.workload
         if spec.get("kind") == "litmus":
-            from repro.replay.workload import _find_litmus
-
-            num_threads = len(_find_litmus(spec["test"]).build(
-                {var: 0 for var in _find_litmus(spec["test"]).variables}
-            ))
+            (test,) = select_litmus_tests(spec["test"])
+            num_threads = len(test.build({var: 0 for var in test.variables}))
         else:
             num_threads = len(self.trace.footer.get("registers", {}))
         dropped: List[int] = list(spec.get("dropped_threads", ()))

@@ -22,9 +22,10 @@ bit-for-bit).  It records:
 * every injected fault and every arbiter crash-recovery transition.
 
 A run is described once, as a :class:`~repro.campaign.queue.CampaignCell`
-(config, seed, workload spec, fault variant, injector identity and an
-optional fault script).  :func:`run_cell` is the one place such a run is
-assembled and classified; :func:`record_run` runs a cell with a recorder
+(config, seed, workload spec, fault variant, injector identity, an
+optional fault script and an optional forced-denial schedule).
+:func:`run_cell` is the one place such a run is assembled and
+classified; :func:`record_run` runs a cell with a recorder
 attached under the header :func:`cell_header` builds from it, and
 :func:`cell_from_header` turns a header back into its cell — which is
 how :func:`repro.replay.replayer.replay_trace` and the minimizer re-drive
@@ -34,7 +35,7 @@ a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector, FaultRecord
@@ -288,6 +289,32 @@ class CellRun:
         return self.status != "ok"
 
 
+def force_denials(machine: "Machine", denials: Iterable[Tuple[int, int]]) -> None:
+    """Wrap the arbiter to deny the first ``n`` grants to each ``proc``.
+
+    ``denials`` holds ``(proc, n)`` pairs (or is a ``{proc: n}`` dict).
+    The wrapper turns would-be grants into denials — a response the
+    protocol already handles via retry — so commit order is permuted
+    without ever forging a grant or touching arbiter bookkeeping
+    (``decide`` is stateless; admission happens separately).  It wraps
+    the machine's one arbiter front end, so it works on both topologies.
+    """
+    arbiter = machine.arbiter
+    if arbiter is None:
+        return
+    remaining = dict(denials)
+    original_decide = arbiter.decide
+
+    def perturbed_decide(proc, *args, **kwargs):
+        decision = original_decide(proc, *args, **kwargs)
+        if decision.granted and remaining.get(proc, 0) > 0:
+            remaining[proc] -= 1
+            return replace(decision, granted=False, reason="forced denial")
+        return decision
+
+    arbiter.decide = perturbed_decide
+
+
 def run_cell(cell: "CampaignCell", header: Optional[dict] = None) -> CellRun:
     """Run one campaign cell; with a ``header``, record it as a trace.
 
@@ -295,10 +322,12 @@ def run_cell(cell: "CampaignCell", header: Optional[dict] = None) -> CellRun:
     cell's config (retries off under ``no_retry``), builds its workload,
     its :class:`~repro.faults.injector.FaultInjector` (drawn from the
     cell's plan and injector identity, or following its fault script,
-    plus its scripted crashes) and its machine, runs it with a
-    :class:`TraceRecorder` subscribed when ``header`` is given, and
-    classifies the result.  :func:`repro.campaign.runner.execute_cell`
-    runs cells without a recorder; :func:`record_run` with one.
+    plus its scripted crashes) and its machine, applies its forced
+    denials, runs it with a :class:`TraceRecorder` subscribed when
+    ``header`` is given, and classifies the result.
+    :func:`repro.campaign.runner.execute_cell`, ``replay explore`` and
+    ``repro litmus`` run cells without a recorder; :func:`record_run`
+    with one.
     """
     from repro.system import Machine
 
@@ -322,6 +351,8 @@ def run_cell(cell: "CampaignCell", header: Optional[dict] = None) -> CellRun:
     machine = Machine(
         config, programs, space, record_history=True, fault_injector=injector
     )
+    if cell.denials:
+        force_denials(machine, cell.denials)
     recorder = None if header is None else TraceRecorder.attach(machine, header)
     result = None
     error = None
@@ -357,8 +388,10 @@ def replay_cell(
     fault: Optional["FaultVariant"] = None,
     fault_script: Optional[dict] = None,
     max_events: int = CERTIFY_MAX_EVENTS,
+    denials: Tuple[Tuple[int, int], ...] = (),
 ) -> "CampaignCell":
-    """The cell ``replay record`` runs: one workload spec at one seed.
+    """The cell ``replay record`` (and ``explore`` and ``litmus``) runs:
+    one workload spec at one seed.
 
     Its injector is forked from the run seed and labelled
     ``replay/<workload name>``.
@@ -376,6 +409,7 @@ def replay_cell(
         max_events=max_events,
         injector=(seed, f"replay/{workload_name(spec)}"),
         fault_script=fault_script,
+        denials=tuple(denials),
     )
 
 
@@ -383,7 +417,8 @@ def cell_header(cell: "CampaignCell", kind: str = "run") -> dict:
     """The trace header of a recorded cell; :func:`cell_from_header` inverts it.
 
     The header's ``faults`` dict is present when the cell has a fault
-    plan or disables retries, and then names the injector identity.
+    plan or disables retries, and then names the injector identity; its
+    ``denials`` key only when the cell forces denials.
     """
     fault = cell.fault
     faults = None
@@ -405,6 +440,7 @@ def cell_header(cell: "CampaignCell", kind: str = "run") -> dict:
         fault_script=cell.fault_script,
         max_events=cell.max_events,
         crashes=list(fault.crashes),
+        denials=list(cell.denials),
     )
 
 
@@ -425,6 +461,7 @@ def cell_from_header(header: dict) -> "CampaignCell":
         ),
         fault_script=header.get("fault_script"),
         max_events=header.get("max_events") or CERTIFY_MAX_EVENTS,
+        denials=tuple((proc, n) for proc, n in header.get("denials") or ()),
     )
     if not faults:
         return cell

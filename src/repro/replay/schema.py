@@ -127,6 +127,7 @@ def make_header(
     max_events: Optional[int] = None,
     note: str = "",
     crashes: Optional[list] = None,
+    denials: Optional[list] = None,
 ) -> dict:
     """Build a schema-complete trace header.
 
@@ -138,6 +139,8 @@ def make_header(
     A trace carries at most one of the two.  ``crashes`` (v2) lists
     scripted arbiter-crash points in their canonical
     ``POINT:OCCURRENCE:TARGET`` spelling; it composes with either.
+    ``denials`` lists the run's forced-denial schedule as ``[proc, n]``
+    pairs.  Both are written only when non-empty.
     """
     header = {
         "schema": TRACE_SCHEMA,
@@ -152,6 +155,8 @@ def make_header(
     }
     if crashes:
         header["crashes"] = list(crashes)
+    if denials:
+        header["denials"] = [list(pair) for pair in denials]
     if note:
         header["note"] = note
     return header

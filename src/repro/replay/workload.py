@@ -77,14 +77,24 @@ def workload_name(spec: dict) -> str:
     return name
 
 
-def _find_litmus(test_name: str):
-    from repro.verify.litmus import all_litmus_tests
+def select_litmus_tests(name: str = "all") -> list:
+    """Every litmus test for ``"all"``, else the one test called ``name``.
 
-    for test in all_litmus_tests():
-        if test.name == test_name:
-            return test
-    known = ", ".join(t.name for t in all_litmus_tests())
-    raise ProgramError(f"unknown litmus test {test_name!r} (known: {known})")
+    Raises :class:`~repro.errors.ProgramError` naming the known tests
+    for an unknown name.  The suite is looked up at call time, so a
+    patched :func:`repro.verify.litmus.all_litmus_tests` reaches every
+    caller.
+    """
+    from repro.verify import litmus
+
+    tests = litmus.all_litmus_tests()
+    if name == "all":
+        return tests
+    chosen = [test for test in tests if test.name == name]
+    if not chosen:
+        known = ", ".join(test.name for test in tests)
+        raise ProgramError(f"unknown litmus test {name!r} (known: {known})")
+    return chosen
 
 
 def litmus_addresses(test, config: SystemConfig) -> Tuple[AddressSpace, Dict[str, int]]:
@@ -111,7 +121,9 @@ def build_workload(
     kind = spec.get("kind")
     dropped = set(spec.get("dropped_threads", ()))
     if kind == "litmus":
-        test = _find_litmus(spec["test"])
+        if spec["test"] == "all":
+            raise ProgramError("a litmus workload names one test, not 'all'")
+        (test,) = select_litmus_tests(spec["test"])
         space, addrs = litmus_addresses(test, config)
         stagger = list(spec.get("stagger", ()))
         programs = []

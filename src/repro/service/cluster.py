@@ -21,7 +21,7 @@ import json
 import os
 import socket
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -190,11 +190,3 @@ def build_cluster_config(
     )
     config.validate()
     return config
-
-
-def component_names(config: ClusterConfig) -> Dict[str, List[str]]:
-    """Stable component names used for record/snapshot/log files."""
-    return {
-        "nodes": [f"node{i}" for i in range(len(config.nodes))],
-        "arbiters": [f"arbiter-{i}" for i in range(len(config.arbiters))],
-    }

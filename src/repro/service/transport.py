@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engine.rng import derive_seed
 from repro.errors import FrameError, RequestTimeoutError, TransportError
@@ -204,11 +204,6 @@ class FailoverClient:
         self._preferred = 0
         self._rng = random.Random(derive_seed(len(endpoints), f"failover/{name}"))
 
-    @property
-    def preferred_endpoint(self) -> Tuple[str, int]:
-        client = self._clients[self._preferred]
-        return (client.host, client.port)
-
     async def close(self) -> None:
         for client in self._clients:
             await client.close()
@@ -250,11 +245,3 @@ async def request_once(
         return response
     finally:
         writer.close()
-
-
-def endpoint_map(responses: Dict[str, dict]) -> Dict[str, object]:
-    """Flatten a {name: response} poll into a compact diagnostic dict."""
-    return {
-        name: {k: v for k, v in sorted(resp.items()) if k not in ("id", "ok")}
-        for name, resp in sorted(responses.items())
-    }

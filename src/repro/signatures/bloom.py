@@ -100,15 +100,6 @@ class IndexCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    def resize(self, capacity: int) -> None:
-        """Change the bound; evicts LRU entries if shrinking."""
-        if capacity < 1:
-            raise ValueError("index cache capacity must be positive")
-        self.capacity = capacity
-        while len(self._entries) > capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
     def counters(self) -> Dict[str, int]:
         return {
             "hits": self.hits,

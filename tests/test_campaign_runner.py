@@ -58,6 +58,15 @@ class TestExecuteCell:
         assert outcome["status"] == "error"
         assert outcome["error"].startswith("FaultInducedError")
 
+    def test_errored_cell_reports_its_fired_crash(self):
+        spec = make_spec(
+            workload_args=["litmus:MP"],
+            fault_args=["drop,delay,dup@0.3!+grant:1:arbiter0"],
+        )
+        outcome = execute_cell(queue_for(spec)[0])
+        assert outcome["status"] == "error"
+        assert outcome["crashes"] == 1
+
     def test_outcome_is_deterministic(self):
         cell = queue_for(make_spec(fault_args=["drop,delay,dup"]))[0]
         assert execute_cell(cell) == execute_cell(cell)

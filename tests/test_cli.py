@@ -85,6 +85,17 @@ class TestLitmus:
     def test_unknown_config_exits_2(self, capsys):
         assert main(["litmus", "--config", "XYZ"]) == 2
 
+    def test_typed_error_exits_1_under_relaxed_model(self, monkeypatch, capsys):
+        from repro.errors import ProtocolError
+        from repro.system import Machine
+
+        def run(self, *args, **kwargs):
+            raise ProtocolError("injected")
+
+        monkeypatch.setattr(Machine, "run", run)
+        assert main(["litmus", "--config", "RC"]) == 1
+        assert "ERROR s0/g1-1: ProtocolError: injected" in capsys.readouterr().out
+
 
 class TestParser:
     def test_requires_command(self):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import ProgramError
-from repro.replay.explorer import explore, explore_payload, force_denials
+from repro.replay.explorer import explore, explore_payload
+from repro.replay.recorder import force_denials
 
 
 class TestExplore:

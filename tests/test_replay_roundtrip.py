@@ -5,6 +5,8 @@ determines a run, so re-driving a recorded trace must reproduce the
 identical event stream, final memory image, registers, and SC verdict.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.spec import FaultVariant
@@ -174,6 +176,7 @@ def test_cell_from_header_inverts_cell_header():
             fault=FaultVariant(no_retry=True),
             fault_script={"deliver": {"3": {"kind": "drop", "extra": 0.0}}},
         ),
+        replay_cell(litmus_spec("MP", (1, 60)), seed=2, denials=((0, 2), (1, 1))),
     ]
     for cell in cells:
         for kind in ("run", "chaos", "minimized"):
@@ -189,3 +192,17 @@ def test_cell_from_header_inverts_cell_header():
     back = cell_from_header(header)
     assert back.injector_identity() == cell.injector_identity()
     assert cell_header(back, "chaos") == header
+
+
+def test_recorded_denial_run_replays(tmp_path):
+    cell = replay_cell(litmus_spec("MP", (1, 60)), seed=0, denials=((0, 2),))
+    plain = record_run(replace(cell, denials=()))
+    denied = record_run(cell)
+    assert denied.error is None and denied.sc_ok
+    reasons = [r.data["reason"] for r in denied.trace.records if r.ev == "arb.deny"]
+    assert reasons.count("forced denial") == 2
+    assert denied.trace.footer["cycles"] != plain.trace.footer["cycles"]
+    path = str(tmp_path / "denied.jsonl")
+    write_trace(denied.trace, path)
+    result = replay_trace(read_trace(path))
+    assert result.ok, result.describe()
