@@ -16,7 +16,7 @@ import pytest
 from repro.harness.metrics import squashed_instruction_pct, total_traffic
 from repro.harness.runner import SweepRunner, build_app_workload
 from repro.harness.tables import render_generic
-from repro.params import ArbiterTopology, bsc_dypvt
+from repro.params import NAMED_CONFIGS, ArbiterTopology, bsc_dypvt
 from repro.system import run_workload
 
 ABLATION_APPS = ("barnes", "ocean", "radix")
@@ -162,17 +162,16 @@ def test_mesh_topology_ablation(benchmark, bench_instructions, bench_seed):
     def run():
         rows = []
         for config_name in ("RC", "BSCdypvt"):
-            runner = SweepRunner(
-                bench_instructions,
-                bench_seed,
-                config_overrides={
-                    config_name: lambda cfg: replace(
-                        cfg, network_topology="mesh"
-                    ).validate()
-                },
-            )
+            # The link counters live on the machine, which a SweepRunner's
+            # cached results do not keep: run each cell directly.
+            config = replace(
+                NAMED_CONFIGS[config_name](seed=bench_seed), network_topology="mesh"
+            ).validate()
             for app in ("barnes", "ocean"):
-                result = runner.result(config_name, app)
+                workload = build_app_workload(app, config, bench_instructions, bench_seed)
+                result = run_workload(
+                    config, workload.programs, workload.address_space, record_history=False
+                )
                 net = result.machine.coherence.network
                 assert isinstance(net, MeshNetwork)
                 rows.append(

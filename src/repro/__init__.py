@@ -16,6 +16,11 @@ Quickstart::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
+
+The configuration names are plain imports.  ``Machine``, ``RunResult``
+and ``run_workload`` are loaded from :mod:`repro.system` on first
+access, so a process that never simulates (a served component, the
+static analyzer) never imports the simulator.
 """
 
 from repro.params import (
@@ -40,8 +45,6 @@ from repro.params import (
     scpp_config,
     tso_config,
 )
-from repro.system import Machine, RunResult, run_workload
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -72,3 +75,16 @@ __all__ = [
     "RunResult",
     "run_workload",
 ]
+
+#: Names served from :mod:`repro.system` on first access (PEP 562).
+_SYSTEM_NAMES = frozenset({"Machine", "RunResult", "run_workload"})
+
+
+def __getattr__(name: str):
+    if name in _SYSTEM_NAMES:
+        from repro import system
+
+        value = getattr(system, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

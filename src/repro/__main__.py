@@ -29,6 +29,9 @@ Commands:
 ``chaos`` and ``experiments`` accept ``--jobs N`` to fan their
 independent simulation cells across worker processes; results are
 bit-identical to a serial run (see :mod:`repro.harness.parallel`).
+
+Each command imports its engine inside its handler, so a process loads
+only what its command runs: ``serve`` never imports the simulator.
 """
 
 from __future__ import annotations
@@ -38,12 +41,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.harness.experiments import figure9, figure10, figure11, table3, table4
-from repro.harness.metrics import speedup_over
-from repro.harness.runner import ALL_APPS, SweepRunner, build_app_workload
 from repro.params import NAMED_CONFIGS, ConsistencyModelKind
-from repro.system import run_workload
-from repro.tools.report import summarize_run
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -57,6 +55,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.harness.runner import ALL_APPS
+
     print("applications:")
     for app in ALL_APPS:
         print(f"  {app}")
@@ -67,6 +67,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.runner import ALL_APPS, build_app_workload
+    from repro.system import run_workload
+    from repro.tools.report import summarize_run
+
     if args.config not in NAMED_CONFIGS:
         print(f"unknown configuration {args.config!r}; try `list`", file=sys.stderr)
         return 2
@@ -98,6 +102,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.harness.metrics import speedup_over
+    from repro.harness.runner import SweepRunner
+
     configs = args.configs or ["RC", "SC", "BSCdypvt"]
     for name in configs:
         if name not in NAMED_CONFIGS:
@@ -283,6 +290,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.harness.experiments import figure9, figure10, figure11, table3, table4
+    from repro.harness.runner import ALL_APPS, SweepRunner
+
     runner = SweepRunner(args.instructions, args.seed, jobs=args.jobs)
     apps = args.apps or list(ALL_APPS)
     if args.name == "figure9":

@@ -22,45 +22,3 @@ the simulator's determinism.
 Everything is surfaced through ``python -m repro analyze``
 (:mod:`repro.analysis.cli`).
 """
-
-from repro.analysis.conflict_graph import (
-    ConflictEdge,
-    CriticalCycle,
-    StaticConflictReport,
-    build_conflict_report,
-    predict_chunk_conflicts,
-)
-from repro.analysis.footprint import (
-    Access,
-    ProgramAnalysis,
-    ThreadFootprint,
-    analyze_programs,
-)
-from repro.analysis.outcomes import (
-    EnumerationResult,
-    FinalState,
-    enumerate_sc_outcomes,
-)
-from repro.analysis.races import RaceReport, RacePair, detect_races
-from repro.analysis.detlint import LintFinding, lint_paths, lint_source
-
-__all__ = [
-    "Access",
-    "ConflictEdge",
-    "CriticalCycle",
-    "EnumerationResult",
-    "FinalState",
-    "LintFinding",
-    "ProgramAnalysis",
-    "RacePair",
-    "RaceReport",
-    "StaticConflictReport",
-    "ThreadFootprint",
-    "analyze_programs",
-    "build_conflict_report",
-    "detect_races",
-    "enumerate_sc_outcomes",
-    "lint_paths",
-    "lint_source",
-    "predict_chunk_conflicts",
-]

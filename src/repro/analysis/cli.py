@@ -21,31 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.conflict_graph import (
-    build_conflict_report,
-    predict_chunk_conflicts,
-)
-from repro.analysis.detlint import lint_paths
-from repro.analysis.outcomes import (
-    EnumerationBudgetError,
-    enumerate_sc_outcomes,
-)
-from repro.analysis.races import detect_races
-from repro.analysis.report import (
-    conflict_report_payload,
-    detlint_payload,
-    outcome_payload,
-    race_report_payload,
-    render_conflict_report,
-    render_detlint,
-    render_outcomes,
-    render_race_report,
-)
 from repro.contracts.cli import add_contracts_args
-from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError, ReproError
+
+if TYPE_CHECKING:
+    from repro.cpu.thread import ThreadProgram
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -58,6 +40,8 @@ _LITMUS_STRIDE = 0x40
 
 def _litmus_programs(test) -> List[ThreadProgram]:
     """Instantiate a litmus test's threads at fixed, distinct addresses."""
+    from repro.cpu.thread import ThreadProgram
+
     addrs = {
         var: (i + 1) * _LITMUS_STRIDE for i, var in enumerate(test.variables)
     }
@@ -101,6 +85,9 @@ def _emit(payloads: List[Dict[str, object]], texts: List[str], as_json: bool) ->
 
 
 def _cmd_program(args: argparse.Namespace) -> int:
+    from repro.analysis.conflict_graph import build_conflict_report, predict_chunk_conflicts
+    from repro.analysis.report import conflict_report_payload, render_conflict_report
+
     targets = _resolve_programs(args)
     payloads, texts = [], []
     findings = 0
@@ -125,6 +112,9 @@ def _cmd_program(args: argparse.Namespace) -> int:
 
 
 def _cmd_races(args: argparse.Namespace) -> int:
+    from repro.analysis.races import detect_races
+    from repro.analysis.report import race_report_payload, render_race_report
+
     targets = _resolve_programs(args)
     payloads, texts = [], []
     races = 0
@@ -138,6 +128,9 @@ def _cmd_races(args: argparse.Namespace) -> int:
 
 
 def _cmd_outcomes(args: argparse.Namespace) -> int:
+    from repro.analysis.outcomes import enumerate_sc_outcomes
+    from repro.analysis.report import outcome_payload, render_outcomes
+
     targets = _resolve_programs(args)
     payloads, texts = [], []
     findings = 0
@@ -171,6 +164,9 @@ def _cmd_outcomes(args: argparse.Namespace) -> int:
 
 
 def _cmd_detlint(args: argparse.Namespace) -> int:
+    from repro.analysis.detlint import lint_paths
+    from repro.analysis.report import detlint_payload, render_detlint
+
     findings, files_checked = lint_paths(args.paths)
     if files_checked == 0:
         print(f"detlint: no python files under {args.paths}", file=sys.stderr)
@@ -249,6 +245,8 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.outcomes import EnumerationBudgetError
+
     try:
         return args.analyze_func(args)
     except EnumerationBudgetError as exc:

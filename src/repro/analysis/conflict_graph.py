@@ -22,14 +22,15 @@ static prediction and a recorded violation diff cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.analysis.footprint import Access, ProgramAnalysis, analyze_programs
 from repro.cpu.isa import Barrier, Io, Op
 from repro.cpu.thread import ThreadProgram
 from repro.verify.serializability import CycleWitnessEdge, format_cycle_witness
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Safety bounds for cycle enumeration: programs are straight-line and
 #: small, but simple-cycle counts can still explode on dense graphs.
@@ -138,6 +139,8 @@ def _mixed_graph(
     analysis: ProgramAnalysis, edges: Sequence[ConflictEdge]
 ) -> "nx.DiGraph":
     """Program-order edges (directed) + conflict edges (both directions)."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for fp in analysis.footprints:
         previous = None
@@ -165,6 +168,8 @@ def _critical_cycles(
     cycles: List[CriticalCycle] = []
     seen: Set[FrozenSet[Tuple[int, int]]] = set()
     truncated = False
+    import networkx as nx
+
     for raw in nx.simple_cycles(graph, length_bound=MAX_CYCLE_LENGTH):
         if len(raw) < 2 or len({t for t, __ in raw}) < 2:
             continue

@@ -28,14 +28,15 @@ without re-running the analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.analysis.conflict_graph import ConflictEdge, _conflict_edges
 from repro.analysis.footprint import ProgramAnalysis, analyze_programs
 from repro.cpu.isa import Barrier, SpinUntil, Store
 from repro.cpu.thread import ThreadProgram
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Classification labels, in report order.
 LOCK_PROTECTED = "lock-protected"
@@ -94,6 +95,8 @@ def _happens_before(
     rendezvous nodes.  An edge means "guaranteed ordered before in every
     execution".
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     spin_waiters: List[Tuple[int, int, int, int]] = []  # (addr, value, t, idx)
     literal_stores: List[Tuple[int, int, int, int]] = []
@@ -142,6 +145,8 @@ def _classify(
         return RacePair(
             edge=edge, classification=LOCK_PROTECTED, why=f"common lock {locks}"
         )
+    import networkx as nx
+
     ordered = None
     if nx.has_path(hb, a.node, b.node):
         ordered = (a, b)

@@ -24,16 +24,3 @@ The invariant everything here serves: ``kill -9`` a campaign at any
 instant, ``campaign resume``, and the final aggregate report is
 bit-identical to the same campaign run uninterrupted.
 """
-
-from repro.campaign.queue import CampaignCell, cell_key, expand_cells
-from repro.campaign.spec import CampaignSpec, FaultVariant
-from repro.campaign.store import CampaignStore
-
-__all__ = [
-    "CampaignCell",
-    "CampaignSpec",
-    "CampaignStore",
-    "FaultVariant",
-    "cell_key",
-    "expand_cells",
-]

@@ -50,7 +50,9 @@ class CampaignCell:
     #: A forced-denial schedule: ``(proc, n)`` pairs, each turning the
     #: first ``n`` grants to ``proc`` into denials (see
     #: :func:`~repro.replay.recorder.force_denials`).  Set by the
-    #: schedule explorer; outside the memo tuple like ``injector``.
+    #: schedule explorer.  A non-empty schedule is part of the memo tuple
+    #: and the name, so cells that differ only in it stay distinct; an
+    #: empty one leaves both as they were.
     denials: Tuple[Tuple[int, int], ...] = ()
 
     def injector_identity(self) -> Tuple[int, str]:
@@ -72,10 +74,13 @@ class CampaignCell:
     @property
     def name(self) -> str:
         """Human-readable cell label (stable, but not the identity)."""
-        return (
+        name = (
             f"{workload_name(self.workload_spec())}"
             f"/{self.config}/s{self.seed}/f[{self.fault.describe()}]"
         )
+        if self.denials:
+            name += f"/d[{','.join(f'{proc}:{n}' for proc, n in self.denials)}]"
+        return name
 
     def memo_tuple(self) -> Tuple:
         """The cell's identity: the sweep memo key + fault environment.
@@ -98,13 +103,16 @@ class CampaignCell:
             self.seed,
             True,  # campaigns always record history (the SC oracle needs it)
         )
-        return base + (
+        identity = base + (
             self.fault.faults,
             self.fault.rate,
             self.fault.no_retry,
             tuple(self.fault.crashes),
             self.max_events,
         )
+        if self.denials:
+            identity += (("denials", self.denials),)
+        return identity
 
     @property
     def key(self) -> str:

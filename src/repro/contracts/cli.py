@@ -13,14 +13,7 @@ import argparse
 import json
 from typing import List
 
-from repro.contracts.checker import (
-    CHECKABLE,
-    ContractError,
-    check_trace,
-    render_report,
-)
-from repro.contracts.modelcheck import render_modelcheck, verify_contracts
-from repro.replay.schema import read_trace
+from repro.contracts.checker import CHECKABLE, ContractError
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -28,6 +21,10 @@ EXIT_FINDINGS = 1
 
 def cmd_contracts(args: argparse.Namespace) -> int:
     """Check contracts over each trace and/or run the model checker."""
+    from repro.contracts.checker import check_trace, render_report
+    from repro.contracts.modelcheck import render_modelcheck, verify_contracts
+    from repro.replay.schema import read_trace
+
     if not args.traces and not args.modelcheck:
         raise ContractError(
             "nothing to do: give at least one TRACE or --modelcheck"

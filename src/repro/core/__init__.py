@@ -20,24 +20,3 @@
 * :mod:`repro.core.driver` — the BulkSC processor driver: chunked
   execution with full reordering/overlap inside and across chunks.
 """
-
-from repro.core.arbiter import Arbiter, ArbitrationDecision
-from repro.core.bdm import BDM
-from repro.core.chunk import Chunk, ChunkState
-from repro.core.chunking import ChunkingPolicy
-from repro.core.distributed_arbiter import DistributedArbiter, GlobalArbiter
-from repro.core.driver import BulkSCDriver
-from repro.core.private_data import PrivateBuffer
-
-__all__ = [
-    "Chunk",
-    "ChunkState",
-    "BDM",
-    "ChunkingPolicy",
-    "Arbiter",
-    "ArbitrationDecision",
-    "DistributedArbiter",
-    "GlobalArbiter",
-    "PrivateBuffer",
-    "BulkSCDriver",
-]

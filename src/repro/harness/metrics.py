@@ -105,17 +105,10 @@ class CommitRow:
         unnecessary = result.stat("dirbdm.unnecessary_lookups")
         updates = result.stat("dirbdm.updates")
         unnecessary_updates = result.stat("dirbdm.unnecessary_updates")
-        # The occupancy is flattened into the snapshot at run end, so it
-        # survives the pickle boundary of a parallel sweep (machine=None);
-        # the live registry is only a fallback for hand-built results.
+        # The run's stats snapshot flattens the time-weighted occupancy
+        # (Machine.run passes its end time), so no live machine is needed.
         pending = result.stat("arbiter0.pending_w.avg")
         nonempty = 100.0 * result.stat("arbiter0.pending_w.nonzero_frac")
-        machine = result.machine
-        if "arbiter0.pending_w.avg" not in result.stats and machine is not None:
-            end = max(result.cycles, 1.0)
-            tw = machine.stats.time_weighted("arbiter0.pending_w")
-            pending = tw.average(end)
-            nonempty = 100.0 * tw.fraction_nonzero(end)
         grants = max(1.0, result.stat("commit.grants"))
         return cls(
             app=app,

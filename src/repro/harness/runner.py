@@ -112,8 +112,10 @@ class SweepRunner:
     """Runs and caches simulations over a (config, app) grid.
 
     ``jobs`` controls how many worker processes a :meth:`sweep` may use;
-    single-cell :meth:`result` calls always run in-process so their live
-    machine stays available to callers.
+    single-cell :meth:`result` calls always run in-process.  Every cached
+    result is slim (``machine=None``): a grid holds plain data, never a
+    live machine per cell.  A caller that needs the machine runs the
+    cell with :func:`~repro.system.run_workload` itself.
     """
 
     def __init__(
@@ -182,16 +184,16 @@ class SweepRunner:
         )
 
     def _run_cell_slim(self, cell: Tuple[str, str]) -> RunResult:
-        """Worker-side cell: drop the unpicklable machine before return."""
+        """One cell without its machine: what the cache and workers keep."""
         return self._run_cell(cell).slim()
 
     def result(self, config_name: str, app: str) -> RunResult:
-        """Run (or fetch) one simulation."""
+        """Run (or fetch) one simulation; the result carries ``machine=None``."""
         key = self.memo_key(config_name, app)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        result = self._run_cell((config_name, app))
+        result = self._run_cell_slim((config_name, app))
         self._cache[key] = result
         return result
 
@@ -201,10 +203,9 @@ class SweepRunner:
         """Run the full grid; returns {(config, app): result}.
 
         With ``jobs > 1`` the uncached cells run across a process pool;
-        parallel results carry ``machine=None`` (they crossed a pickle
-        boundary) but are otherwise identical to serial ones, and the
-        returned mapping is keyed and ordered exactly as in a serial
-        sweep.  With :attr:`cell_timeout` set, a cell that exceeds its
+        results are identical to serial ones (all carry ``machine=None``),
+        and the returned mapping is keyed and ordered exactly as in a
+        serial sweep.  With :attr:`cell_timeout` set, a cell that exceeds its
         wall-clock budget (or whose worker dies) is recorded in
         :attr:`failed` and omitted from the mapping instead of raising.
         """

@@ -20,39 +20,3 @@ workload, fault plan)``, which makes three powerful tools cheap:
 
 The CLI surface is ``python -m repro replay record|run|explore|minimize``.
 """
-
-from repro.replay.schema import (
-    TRACE_SCHEMA,
-    TRACE_VERSION,
-    Trace,
-    TraceRecord,
-    TraceValidationError,
-    make_header,
-    read_trace,
-    write_trace,
-)
-from repro.replay.recorder import CellRun, TraceRecorder, record_run
-from repro.replay.replayer import ReplayDivergence, ReplayResult, replay_trace
-from repro.replay.explorer import ExploreReport, explore
-from repro.replay.minimizer import MinimizeResult, minimize_trace
-
-__all__ = [
-    "TRACE_SCHEMA",
-    "TRACE_VERSION",
-    "Trace",
-    "TraceRecord",
-    "TraceValidationError",
-    "make_header",
-    "read_trace",
-    "write_trace",
-    "CellRun",
-    "TraceRecorder",
-    "record_run",
-    "ReplayDivergence",
-    "ReplayResult",
-    "replay_trace",
-    "ExploreReport",
-    "explore",
-    "MinimizeResult",
-    "minimize_trace",
-]

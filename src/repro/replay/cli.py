@@ -24,24 +24,8 @@ import os
 import sys
 from typing import List
 
-from repro.campaign.spec import FaultVariant
 from repro.errors import ProgramError, ReproError
-from repro.faults.plan import CrashPoint
-from repro.replay.explorer import explore, explore_payload
-from repro.replay.minimizer import MinimizeError, minimize_trace
-from repro.replay.recorder import record_run, replay_cell
-from repro.replay.replayer import replay_trace
-from repro.replay.schema import (
-    TraceValidationError,
-    read_trace,
-    write_trace,
-)
-from repro.replay.workload import (
-    app_spec,
-    litmus_spec,
-    select_litmus_tests,
-    workload_name,
-)
+from repro.replay.schema import TraceValidationError, read_trace, write_trace
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -59,6 +43,8 @@ def _parse_stagger(text: str) -> List[int]:
 
 
 def _record_targets(args: argparse.Namespace) -> List[dict]:
+    from repro.replay.workload import app_spec, litmus_spec, select_litmus_tests
+
     if args.app is not None:
         return [app_spec(args.app, args.instructions, args.seed)]
     stagger = _parse_stagger(args.stagger)
@@ -69,6 +55,8 @@ def _record_targets(args: argparse.Namespace) -> List[dict]:
 
 
 def _trace_path(out: str, spec: dict, multiple: bool) -> str:
+    from repro.replay.workload import workload_name
+
     if not multiple and out.endswith(".jsonl"):
         parent = os.path.dirname(out)
         if parent:
@@ -80,6 +68,11 @@ def _trace_path(out: str, spec: dict, multiple: bool) -> str:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
+    from repro.campaign.spec import FaultVariant
+    from repro.faults.plan import CrashPoint
+    from repro.replay.recorder import record_run, replay_cell
+    from repro.replay.workload import workload_name
+
     specs = _record_targets(args)
     fault = FaultVariant(
         faults=args.faults or "",
@@ -123,6 +116,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.replay.replayer import replay_trace
+
     payloads = []
     findings = 0
     for path in args.traces:
@@ -158,6 +153,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.replay.explorer import explore, explore_payload
+
     seeds = tuple(range(args.seed, args.seed + max(1, args.seeds)))
     report = explore(
         litmus=args.litmus,
@@ -174,6 +171,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
+    from repro.replay.minimizer import MinimizeError, minimize_trace
+
     trace = read_trace(args.trace)
     out = args.out or (
         args.trace[: -len(".jsonl")] + ".min.jsonl"

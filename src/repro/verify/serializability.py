@@ -23,11 +23,12 @@ itself is corrupt, e.g. interleaved chunk blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.verify.history import ExecutionHistory
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ def build_precedence_graph(history: ExecutionHistory) -> "nx.DiGraph":
     word), or when A and B are consecutive chunks of one processor
     (program order).
     """
+    import networkx as nx
+
     order, reads, writes = _chunk_footprints(history)
     graph = nx.DiGraph()
     graph.add_nodes_from(order)
@@ -193,6 +196,8 @@ def check_conflict_serializability(
     order is a topological order of its own dependency edges); a cycle
     indicates the history itself is corrupt.
     """
+    import networkx as nx
+
     graph = build_precedence_graph(history)
     conflict_edges = sum(
         1 for __, __, data in graph.edges(data=True) if data.get("kind") == "conflict"
@@ -224,6 +229,8 @@ def check_conflict_serializability(
 
 def conflict_graph_stats(history: ExecutionHistory) -> ConflictGraphStats:
     """Structural facts about the execution's chunk dependencies."""
+    import networkx as nx
+
     graph = build_precedence_graph(history)
     conflict_edges = 0
     program_edges = 0

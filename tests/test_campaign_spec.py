@@ -176,6 +176,19 @@ class TestExpansionDeterminism:
         )
         assert twin.key != base.key
 
+    def test_key_covers_forced_denials(self):
+        from repro.replay.recorder import replay_cell
+        from repro.replay.workload import litmus_spec
+
+        plain = replay_cell(litmus_spec("MP", [1, 1]))
+        denied = replay_cell(litmus_spec("MP", [1, 1]), denials=((0, 1),))
+        assert denied.key != plain.key
+        assert denied.name != plain.name
+        assert len(cells_by_key([plain, denied])) == 2
+        # An empty schedule leaves the identity as it was.
+        assert plain.name == "litmus:MP/g1-1/BSCdypvt/s0/f[none]"
+        assert "denials" not in json.dumps(plain.memo_tuple())
+
     def test_cell_key_stable_across_interpreter_runs(self):
         spec = self.spec()
         program = (

@@ -234,7 +234,8 @@ class TestParallelBitIdentity:
             assert serial[key].stats == fanned[key].stats
             assert serial[key].registers == fanned[key].registers
             assert serial[key].traffic_bytes == fanned[key].traffic_bytes
-            # Parallel results crossed a pickle boundary: machine dropped.
+            # A runner caches plain data: no result keeps its machine.
+            assert serial[key].machine is None
             assert fanned[key].machine is None
 
     def test_sweep_parameter_matches_serial(self):
