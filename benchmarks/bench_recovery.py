@@ -7,8 +7,7 @@ Runs one synthetic application twice under the same seed:
   drops the in-flight W list, waits out the failover delay, serves the
   reconstruction phase serially, and then restores overlapped commit.
 
-`BENCH_recovery.json` pins the baseline measured at seed time; the
-assertions bound machine-independent quantities — simulated cycles and
+The assertions bound machine-independent quantities — simulated cycles and
 the recovery-latency stats — not wall times: the crashed run must pay
 at least the failover outage but stay under a small multiple of the
 crash-free run, recovery must complete (mode back to NORMAL, stats

@@ -11,8 +11,7 @@ TCP on loopback):
   commit stream's largest stall stays within a small multiple of the
   lease, and that certification still holds.
 
-`BENCH_service.json` pins the seed-machine reference numbers.  The
-assertions here are machine-independent: certification flags, takeover
+The assertions here are machine-independent: certification flags, takeover
 counts, and stall *ratios* against the configured lease — never
 absolute wall times or throughput on their own.
 """

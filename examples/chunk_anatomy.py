@@ -22,7 +22,7 @@ from repro.cpu.thread import ThreadProgram
 from repro.memory.address import AddressMap, AddressSpace
 from repro.params import bsc_dypvt
 from repro.system import Machine, run_workload
-from repro.tools import ChunkTracer
+from repro.tools.chunk_trace import ChunkTracer
 from repro.verify.sc_checker import check_sequential_consistency
 from repro.workloads import lock_contention_workload
 

@@ -1,6 +1,6 @@
 """The ``analyze`` CLI subcommand: static analysis without simulation.
 
-Four passes, mirroring the ``chaos`` subcommand's conventions (JSON or
+Five passes, mirroring the ``chaos`` subcommand's conventions (JSON or
 human reports; deterministic output; distinct exit codes):
 
 * ``analyze program`` — static conflict graph + critical cycles +
@@ -23,7 +23,6 @@ import json
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.contracts.cli import add_contracts_args
 from repro.errors import ProgramError, ReproError
 
 if TYPE_CHECKING:
@@ -179,6 +178,52 @@ def _cmd_detlint(args: argparse.Namespace) -> int:
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
+def _cmd_contracts(args: argparse.Namespace) -> int:
+    """Check contracts over each trace and/or run the model checker."""
+    from repro.contracts.checker import (
+        ContractError,
+        check_trace,
+        render_report,
+        select_components,
+    )
+    from repro.contracts.modelcheck import render_modelcheck, verify_contracts
+    from repro.replay.schema import read_trace
+
+    components = select_components(args.component)
+    if not args.traces and not args.modelcheck:
+        raise ContractError(
+            "nothing to do: give at least one TRACE or --modelcheck"
+        )
+    payloads: List[Dict[str, object]] = []
+    texts: List[str] = []
+    findings = 0
+
+    for path in args.traces:
+        try:
+            trace = read_trace(path)
+        except OSError as exc:
+            raise ContractError(f"cannot read trace {path!r}: {exc}")
+        report = check_trace(trace, components=components)
+        if not report.ok:
+            findings += 1
+        payload: Dict[str, object] = {"trace": path}
+        payload.update(report.payload())
+        payloads.append(payload)
+        texts.append(render_report(report, name=path))
+
+    if args.modelcheck:
+        result = verify_contracts(
+            procs=args.procs, chunks=args.chunks, max_paths=args.max_paths
+        )
+        if not result["ok"]:
+            findings += 1
+        payloads.append({"modelcheck": result})
+        texts.append(render_modelcheck(result))
+
+    _emit(payloads, texts, args.json)
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
+
+
 def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
     parser = sub.add_parser(
         "analyze",
@@ -239,7 +284,38 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
     p_lint.add_argument("--json", action="store_true", help="emit JSON")
     p_lint.set_defaults(analyze_func=_cmd_detlint)
 
-    add_contracts_args(passes)
+    p_contracts = passes.add_parser(
+        "contracts",
+        help="per-component ordering contracts + composition over traces",
+    )
+    p_contracts.add_argument(
+        "traces", nargs="*",
+        help="recorded trace files (.jsonl) to contract-check",
+    )
+    p_contracts.add_argument(
+        "--component", action="append", metavar="NAME",
+        help="check only this component (repeatable; default: every "
+             "component + composition; an unknown NAME lists the known ones)",
+    )
+    p_contracts.add_argument(
+        "--modelcheck", action="store_true",
+        help="also run the bounded protocol model checker "
+             "(non-vacuity + seeded mutations)",
+    )
+    p_contracts.add_argument(
+        "--procs", type=int, default=2,
+        help="model-checker processor count (default 2)",
+    )
+    p_contracts.add_argument(
+        "--chunks", type=int, default=2,
+        help="model-checker chunks per processor (default 2)",
+    )
+    p_contracts.add_argument(
+        "--max-paths", type=int, default=200_000,
+        help="model-checker interleaving budget (default 200000)",
+    )
+    p_contracts.add_argument("--json", action="store_true", help="emit JSON")
+    p_contracts.set_defaults(analyze_func=_cmd_contracts)
 
     parser.set_defaults(func=cmd_analyze)
 

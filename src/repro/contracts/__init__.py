@@ -14,51 +14,8 @@ Entry points:
 
 * :func:`repro.contracts.checker.check_trace` — all verdicts for one trace;
 * :func:`repro.contracts.modelcheck.verify_contracts` — the static spec check;
-* ``python -m repro analyze contracts`` — the CLI.
+* ``python -m repro analyze contracts`` — the CLI
+  (:mod:`repro.analysis.cli`).
+
+The package re-exports nothing: import names from the submodules.
 """
-
-from repro.contracts.checker import (
-    CHECKABLE,
-    ContractError,
-    ContractReport,
-    check_records,
-    check_trace,
-    localized_summary,
-    render_report,
-)
-from repro.contracts.composition import CompositionResult, compose
-from repro.contracts.dsl import (
-    Clause,
-    ClauseContext,
-    ClauseVerdict,
-    Contract,
-    ContractVerdict,
-    EventSelector,
-    Witness,
-)
-from repro.contracts.library import ALL_CONTRACTS, COMPONENTS, contract_for
-from repro.contracts.slicer import component_streams, slice_trace
-
-__all__ = [
-    "ALL_CONTRACTS",
-    "CHECKABLE",
-    "COMPONENTS",
-    "Clause",
-    "ClauseContext",
-    "ClauseVerdict",
-    "CompositionResult",
-    "Contract",
-    "ContractError",
-    "ContractReport",
-    "ContractVerdict",
-    "EventSelector",
-    "Witness",
-    "check_records",
-    "check_trace",
-    "component_streams",
-    "compose",
-    "contract_for",
-    "localized_summary",
-    "render_report",
-    "slice_trace",
-]

@@ -71,6 +71,23 @@ class ContractReport:
         }
 
 
+def select_components(components: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """The components to check: ``components``, or all of :data:`CHECKABLE`.
+
+    Raises :class:`ContractError` naming the known components when any
+    requested name is unknown.
+    """
+    if not components:
+        return CHECKABLE
+    unknown = [c for c in components if c not in CHECKABLE]
+    if unknown:
+        raise ContractError(
+            f"unknown component(s) {', '.join(unknown)} "
+            f"(known: {', '.join(CHECKABLE)})"
+        )
+    return tuple(components)
+
+
 def check_records(
     records: Sequence[TraceRecord],
     footer: Optional[dict] = None,
@@ -81,16 +98,7 @@ def check_records(
     ``components`` restricts checking (names from :data:`CHECKABLE`);
     the default checks everything including the composition obligation.
     """
-    if components:
-        unknown = [c for c in components if c not in CHECKABLE]
-        if unknown:
-            raise ContractError(
-                f"unknown component(s) {', '.join(unknown)} "
-                f"(known: {', '.join(CHECKABLE)})"
-            )
-        wanted = tuple(components)
-    else:
-        wanted = CHECKABLE
+    wanted = select_components(components)
     verdicts = tuple(
         contract_for(name).check(records)
         for name in COMPONENTS
@@ -174,4 +182,5 @@ __all__ = [
     "check_trace",
     "localized_summary",
     "render_report",
+    "select_components",
 ]

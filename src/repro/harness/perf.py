@@ -1,81 +1,26 @@
-"""Core-throughput measurement: events/sec and commits/sec.
+"""Simulator profiling: the runs behind ``python -m repro profile``.
 
-The simulator's discrete-event loop is the binding constraint on every
-sweep in the harness (figure regeneration, chaos matrices, the crash
-acceptance sweep), so this module pins *simulator throughput* itself:
+Two targets exercise the simulator's two hot paths:
 
-* :func:`measure_litmus_commit_heavy` — the litmus suite under a
-  BulkSC configuration with tiny chunks, so nearly every instruction
-  pays the full arbitrate/grant/expand/ack pipeline.  This is the
-  workload most sensitive to the signature-kernel hot path.
-* :func:`measure_synthetic` — one synthetic application at a realistic
-  chunk size, dominated by the per-access path (cache, chunking,
-  signatures accumulating).
+* ``litmus`` — the litmus suite under a BulkSC configuration with
+  4-instruction chunks, so nearly every instruction pays the full
+  arbitrate/grant/expand/ack pipeline;
+* ``synthetic`` — one synthetic application at the paper's chunk size,
+  dominated by the per-access path (cache, chunking, signatures).
 
-Both report machine-independent *work counts* (events fired, chunk
-commits, instructions) alongside wall-clock rates, so a recorded
-baseline can distinguish "the simulator got slower" from "the workload
-got bigger".  ``benchmarks/bench_core.py`` persists the numbers in
-``benchmarks/BENCH_core.json`` and gates regressions in CI;
-``python -m repro profile`` wraps the same runs in :mod:`cProfile`.
+:func:`profile_run` wraps either in :mod:`cProfile` and rolls ``tottime``
+up per simulator subsystem.  :func:`run_litmus_cell` is the one-cell
+runner the golden-digest tests share.  Wall-clock throughput is
+measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.params import NAMED_CONFIGS, SystemConfig
 from repro.replay.workload import LITMUS_STAGGERS, build_workload, litmus_spec
 from repro.system import run_workload
-
-
-@dataclass
-class CorePerfResult:
-    """Throughput observed over one measured workload."""
-
-    name: str
-    runs: int
-    events: int
-    commits: int
-    instructions: int
-    cycles: float
-    wall_s: float
-    repeats: int = 1
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def commits_per_sec(self) -> float:
-        return self.commits / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def instructions_per_sec(self) -> float:
-        return self.instructions / self.wall_s if self.wall_s > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "runs": self.runs,
-            "events": self.events,
-            "commits": self.commits,
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "wall_s": round(self.wall_s, 4),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "commits_per_sec": round(self.commits_per_sec, 1),
-            "instructions_per_sec": round(self.instructions_per_sec, 1),
-        }
-
-    def render(self) -> str:
-        return (
-            f"{self.name}: {self.runs} runs, {self.events} events, "
-            f"{self.commits} commits in {self.wall_s:.3f}s -> "
-            f"{self.events_per_sec:,.0f} events/s, "
-            f"{self.commits_per_sec:,.0f} commits/s"
-        )
 
 
 def _commit_heavy_config(config_name: str, seed: int, chunk_size: int) -> SystemConfig:
@@ -105,110 +50,6 @@ def run_litmus_cell(
     programs, space, __ = build_workload(litmus_spec(test_name, stagger), config)
     return run_workload(config, programs, space, record_history=record_history)
 
-
-def measure_litmus_commit_heavy(
-    config_name: str = "BSCdypvt",
-    seed: int = 0,
-    chunk_size: int = 4,
-    repeats: int = 1,
-) -> CorePerfResult:
-    """Sweep the litmus suite with tiny chunks: the commit-pipeline stress.
-
-    A ``chunk_size`` of a few instructions makes every litmus operation
-    commit through the arbiter, so throughput here is dominated by the
-    disambiguation predicates (arbiter R/W checks, BDM intersections,
-    DirBDM expansion) rather than by program execution.
-    """
-    cells = _litmus_cells(seed)
-    best_wall = float("inf")
-    events = commits = instructions = 0
-    cycles = 0.0
-    for __ in range(max(1, repeats)):
-        events = commits = instructions = 0
-        cycles = 0.0
-        start = time.perf_counter()  # detlint: ok[DET003] — benchmark wall-clock, never simulated state
-        for test_name, cell_seed, stagger in cells:
-            config = _commit_heavy_config(config_name, cell_seed, chunk_size)
-            result = run_litmus_cell(test_name, config, stagger)
-            events += result.machine.sim.events_fired
-            commits += int(result.stat("commit.completed"))
-            instructions += result.total_instructions
-            cycles += result.cycles
-        best_wall = min(best_wall, time.perf_counter() - start)  # detlint: ok[DET003] — benchmark wall-clock, never simulated state
-    return CorePerfResult(
-        name=f"litmus-commit-heavy[{config_name},chunk={chunk_size}]",
-        runs=len(cells),
-        events=events,
-        commits=commits,
-        instructions=instructions,
-        cycles=cycles,
-        wall_s=best_wall,
-        repeats=repeats,
-    )
-
-
-def measure_synthetic(
-    app: str = "barnes",
-    config_name: str = "BSCdypvt",
-    instructions: int = 4000,
-    seed: int = 0,
-    repeats: int = 1,
-) -> CorePerfResult:
-    """One synthetic application at the paper's chunk size.
-
-    The workload is built once, outside the timed region, and shared by
-    every repeat; repeats after the first also reuse its compiled op
-    streams, so with ``repeats >= 2`` the best-of wall time excludes
-    op-stream compilation.
-    """
-    from repro.harness.runner import build_app_workload
-
-    best_wall = float("inf")
-    events = commits = retired = 0
-    cycles = 0.0
-    config = NAMED_CONFIGS[config_name](seed=seed)
-    workload = build_app_workload(app, config, instructions, seed)
-    for __ in range(max(1, repeats)):
-        start = time.perf_counter()  # detlint: ok[DET003] — benchmark wall-clock, never simulated state
-        result = run_workload(
-            config, workload.programs, workload.address_space, record_history=False
-        )
-        best_wall = min(best_wall, time.perf_counter() - start)  # detlint: ok[DET003] — benchmark wall-clock, never simulated state
-        events = result.machine.sim.events_fired
-        commits = int(result.stat("commit.completed"))
-        retired = result.total_instructions
-        cycles = result.cycles
-    return CorePerfResult(
-        name=f"synthetic[{app},{config_name},{instructions}i]",
-        runs=1,
-        events=events,
-        commits=commits,
-        instructions=retired,
-        cycles=cycles,
-        wall_s=best_wall,
-        repeats=repeats,
-    )
-
-
-def measure_core(
-    seed: int = 0,
-    repeats: int = 2,
-    synthetic_instructions: int = 4000,
-) -> Dict[str, CorePerfResult]:
-    """The standard core-throughput battery (used by bench and CI gate)."""
-    return {
-        "litmus_commit_heavy": measure_litmus_commit_heavy(
-            seed=seed, repeats=repeats
-        ),
-        "synthetic": measure_synthetic(
-            seed=seed, instructions=synthetic_instructions, repeats=repeats
-        ),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Profiling (python -m repro profile)
-# ---------------------------------------------------------------------------
 
 def profile_run(
     target: str = "litmus",

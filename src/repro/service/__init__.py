@@ -26,8 +26,8 @@ over TCP:
   contracts (:mod:`repro.contracts`), plus a zero-acknowledged-write-loss
   audit against the client-side ack manifest.
 * :mod:`~repro.service.bench` — the open-loop traffic generator reusing
-  :mod:`repro.workloads.commercial` profiles, feeding
-  ``benchmarks/BENCH_service.json``.
+  :mod:`repro.workloads.commercial` profiles, behind ``repro service
+  bench``.
 
 Entry points: ``python -m repro serve`` and ``python -m repro service``
 (see :mod:`~repro.service.cli`).

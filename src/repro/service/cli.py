@@ -158,7 +158,6 @@ def _certification_exit(ok: bool) -> int:
 
 
 def _cmd_service_bench(args: argparse.Namespace) -> int:
-    import os
     import tempfile
 
     from repro.service.bench import BenchOptions, render_bench, run_bench
@@ -200,12 +199,6 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
         # Re-render the already-computed verdict without re-certifying.
         result = certify_run(service_dir, seed=args.seed)
         print(render_certification(result))
-    if args.output:
-        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"bench payload written to {args.output}", file=sys.stderr)
     return _certification_exit(bool(payload["certification"]["ok"]))
 
 
@@ -337,11 +330,6 @@ def add_service_parser(sub) -> None:
     p_bench.add_argument(
         "--request-timeout", type=float, default=1.0,
         help="per-request timeout before a retry leg gives up",
-    )
-    p_bench.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the JSON payload here "
-        "(e.g. benchmarks/BENCH_service.json)",
     )
     p_bench.add_argument("--json", action="store_true", help="emit JSON")
     _add_fault_flags(p_bench)

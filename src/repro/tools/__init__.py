@@ -4,27 +4,9 @@
   lifecycle timelines (start → close → grant → commit / squash).
 * :mod:`repro.tools.report` — turn a :class:`~repro.system.RunResult`
   into a human-readable summary.
-* :mod:`repro.tools.export` — JSON/CSV export of runs, figure series,
-  and table rows for downstream analysis.
+* :mod:`repro.tools.fault_trace` — render the injected-fault log of a
+  faulted run.
+
+The package re-exports nothing, so importing one tool loads only that
+tool: import names from the submodules.
 """
-
-from repro.tools.chunk_trace import ChunkTracer, TraceEvent
-from repro.tools.export import (
-    export_run_json,
-    export_series_csv,
-    export_table_csv,
-    load_run_json,
-    run_result_to_dict,
-)
-from repro.tools.report import summarize_run
-
-__all__ = [
-    "ChunkTracer",
-    "TraceEvent",
-    "summarize_run",
-    "export_run_json",
-    "export_series_csv",
-    "export_table_csv",
-    "load_run_json",
-    "run_result_to_dict",
-]

@@ -12,15 +12,15 @@ import dataclasses
 import pytest
 
 from repro.campaign.spec import FaultVariant
-from repro.contracts import (
+from repro.contracts.checker import (
     CHECKABLE,
-    COMPONENTS,
     ContractError,
     check_records,
     check_trace,
     localized_summary,
     render_report,
 )
+from repro.contracts.library import COMPONENTS
 from repro.contracts.slicer import component_streams
 from repro.replay.recorder import record_run, replay_cell
 from repro.replay.workload import litmus_spec

@@ -57,6 +57,15 @@ class TestExitCodes:
     def test_missing_trace_is_usage_error(self, capsys):
         assert main(["analyze", "contracts", "/nonexistent/t.jsonl"]) == 2
 
+    def test_unknown_component_is_usage_error(self, capsys):
+        code = main(
+            ["analyze", "contracts", "--modelcheck", "--component", "bogus"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown component(s) bogus" in err
+        assert "arbiter, bdm, dirbdm, network, recovery, composition" in err
+
 
 class TestJson:
     def test_single_trace_payload(self, clean_trace, capsys):

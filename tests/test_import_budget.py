@@ -3,8 +3,9 @@
 Each case starts a fresh interpreter, does one thing, and prints
 ``sorted(sys.modules)``.  A served component (``repro serve`` and the
 node/arbiter server modules) must load neither the simulator
-(``repro.system``), the harness, nor networkx; the harness loads the
-simulator but not networkx, which only the graph-building analyses use.
+(``repro.system``), the harness, the contract checkers nor networkx; the
+harness loads the simulator but not networkx, which only the
+graph-building analyses use; a run summary loads no replay module.
 """
 
 import json
@@ -31,9 +32,10 @@ CASES = {
     ),
     "service": "import repro.service.node, repro.service.arbiter_server\n",
     "harness": "import repro.harness.experiments\n",
+    "report": "import repro.tools.report\n",
 }
 
-SERVICE_FORBIDDEN = ("networkx", "repro.system", "repro.harness")
+SERVICE_FORBIDDEN = ("networkx", "repro.system", "repro.harness", "repro.contracts")
 
 
 def loaded_modules(case: str) -> set:
@@ -67,6 +69,13 @@ def test_harness_loads_no_networkx():
     modules = loaded_modules("harness")
     assert "repro.system" in modules
     assert "networkx" not in modules
+
+
+def test_run_summary_loads_no_replay():
+    # `repro run` prints its summary through repro.tools.report alone.
+    modules = loaded_modules("report")
+    assert "repro.system" in modules
+    assert "repro.replay" not in modules
 
 
 def test_every_top_level_name_resolves():

@@ -10,7 +10,7 @@ it were complete).
 
 import pytest
 
-from repro.contracts import check_records, check_trace
+from repro.contracts.checker import check_records, check_trace
 from repro.contracts.slicer import component_streams, slice_trace
 from repro.replay.recorder import record_run, replay_cell
 from repro.replay.schema import (

@@ -8,7 +8,8 @@ from repro.memory.address import AddressMap, AddressSpace
 from repro.params import bsc_dypvt, rc_config
 from repro.replay.recorder import TraceRecorder
 from repro.system import Machine, run_workload
-from repro.tools import ChunkTracer, summarize_run
+from repro.tools.chunk_trace import ChunkTracer
+from repro.tools.report import summarize_run
 
 
 def make_machine(config, programs_ops):
