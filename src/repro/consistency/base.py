@@ -8,6 +8,7 @@ identical and lives here.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.driver import DriverState, ProcessorDriver
@@ -52,12 +53,15 @@ class BaselineDriver(ProcessorDriver):
 
     def __init__(self, proc: int, thread, machine: "Machine"):
         super().__init__(proc, thread, machine)
+        #: Weak: the machine owns its drivers.  A visible store reaches
+        #: the other drivers through :meth:`Machine.broadcast_write`, a
+        #: driver-to-driver edge no collaborator can stand in for.
+        self.machine = weakref.proxy(machine)
         self.coherence = machine.coherence
         self.memory = machine.memory
         self.sync = machine.sync
         self.history = machine.history
         self.address_map = machine.coherence.address_map
-        self.stats = machine.stats
         self._l1 = machine.coherence.l1s[proc]
         self._stream = thread.program.op_stream(self.address_map.line_shift)
 
@@ -249,8 +253,7 @@ class BaselineDriver(ProcessorDriver):
         self._before_sync_visibility()  # RC drains its store buffer
         value = resolve_operand(op.value, self.thread.registers)
         self.window.stall_until(self.window.now + Io.LATENCY)
-        self.machine.perform_io(self.window.now, self.proc, op.device, value)
-        self.stats.bump(f"proc{self.proc}.io_ops")
+        self._perform_io(op.device, value)
         return True
 
     def _handle_acquire(self, op: LockAcquire) -> bool:

@@ -73,6 +73,7 @@ W signatures and re-issue grants under the new epoch
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.chunk import Chunk, ChunkState
@@ -161,7 +162,11 @@ class CommitEngine:
     ACK_TURNAROUND_CYCLES = 3
 
     def __init__(self, machine: "Machine"):
-        self.machine = machine
+        #: Weak: the machine owns the engine.  Its driver-side services
+        #: (delivery, missed-collision check, spurious squash) reach the
+        #: drivers, which hold the engine; every other collaborator is
+        #: held directly.
+        self.machine = weakref.proxy(machine)
         self.sim = machine.sim
         self.config = machine.config
         self.bulk_config = machine.config.bulksc
@@ -169,6 +174,14 @@ class CommitEngine:
         self.network: Network = machine.coherence.network
         self.stats: StatsRegistry = machine.stats
         self.injector = machine.fault_injector
+        self.arbiter = machine.arbiter
+        self.dirbdms = machine.dirbdms
+        self.coherence = machine.coherence
+        self.memory = machine.memory
+        self.history = machine.history
+        self.sync = machine.sync
+        #: The machine's event stream (see :meth:`Machine.subscribe`).
+        self.subscribers = machine.subscribers
         self._hop = machine.config.network_hop_cycles
         self._next_commit_id = 0
         #: Live transactions by commit id — the recovery manager polls
@@ -192,7 +205,7 @@ class CommitEngine:
                 f"chunk {chunk.chunk_id} submitted in state {chunk.state}"
             )
         self._next_commit_id += 1
-        ranges = self.machine.arbiter.ranges_of(
+        ranges = self.arbiter.ranges_of(
             chunk.true_written_lines, chunk.true_read_lines
         )
         txn = CommitTransaction(
@@ -281,13 +294,13 @@ class CommitEngine:
             return
         include_r_next = r_included or not self.bulk_config.rsig_optimization
         r_sig = chunk.r_sig if include_r_next else None
-        decision = self.machine.arbiter.decide(
+        decision = self.arbiter.decide(
             chunk.proc, chunk.w_sig, r_sig, txn.ranges, now
         )
         if decision.used_g_arbiter:
             self.stats.bump("commit.g_arbiter_transactions")
-        if self.machine.subscribers:
-            self.machine.publish("arb.decide", chunk.proc, decision)
+        for subscriber in self.subscribers:
+            subscriber("arb.decide", chunk.proc, decision)
         if decision.needs_r_signature:
             # RSig protocol: fetch R and re-decide.
             self._send_request(txn, now, include_r=True)
@@ -321,16 +334,15 @@ class CommitEngine:
         """The arbiter granted: admit W, then ship the grant message."""
         chunk = txn.chunk
         now = self.sim.now
-        machine = self.machine
         self.stats.bump("commit.grants")
         if chunk.w_sig.is_empty():
             self.stats.bump("commit.empty_w_commits")
         else:
-            machine.arbiter.admit(
+            self.arbiter.admit(
                 txn.commit_id, chunk.proc, chunk.w_sig, txn.ranges, now
             )
             txn.admitted = True
-        txn.lease = machine.arbiter.lease_for(txn.ranges)
+        txn.lease = self.arbiter.lease_for(txn.ranges)
         self._serialize(txn)
         txn.phase = TxnPhase.GRANT_SENT
         self._send_grant(txn)
@@ -350,11 +362,10 @@ class CommitEngine:
         """
         chunk = txn.chunk
         now = self.sim.now
-        machine = self.machine
-        if machine.subscribers:
-            machine.publish("commit.serialize", chunk.proc, txn)
-        machine.memory.write_many(chunk.commit_updates())
-        history = machine.history
+        for subscriber in self.subscribers:
+            subscriber("commit.serialize", chunk.proc, txn)
+        self.memory.write_many(chunk.commit_updates())
+        history = self.history
         if history.enabled:
             for is_store, word_addr, value, program_index in chunk.ops:
                 history.record(
@@ -390,14 +401,13 @@ class CommitEngine:
         self, txn: CommitTransaction, lease: Optional[Tuple[int, ...]] = None
     ) -> None:
         chunk = txn.chunk
-        machine = self.machine
         if txn.phase is not TxnPhase.GRANT_SENT:
             # Duplicate grant message (dup/reorder fault, or a watchdog
             # re-send whose original eventually arrived).
             self.stats.bump("commit.duplicate_grants")
             return
         if lease is not None and (
-            lease != txn.lease or not machine.arbiter.lease_valid(txn.ranges, lease)
+            lease != txn.lease or not self.arbiter.lease_valid(txn.ranges, lease)
         ):
             # The issuing arbiter incarnation died in flight.  The
             # recovery manager will re-issue this grant under the new
@@ -434,12 +444,12 @@ class CommitEngine:
                 TrafficClass.WR_SIG,
                 txn.w_sig_bytes(),
             )
-            dirbdm = machine.dirbdms[dir_index]
+            dirbdm = self.dirbdms[dir_index]
             outcome = dirbdm.expand_commit(
                 chunk.w_sig, chunk.proc, chunk.true_written_lines
             )
-            if machine.subscribers:
-                machine.publish(
+            for subscriber in self.subscribers:
+                subscriber(
                     "dir.expand", None, dir_index, chunk, chunk.true_written_lines,
                     outcome,
                 )
@@ -518,18 +528,17 @@ class CommitEngine:
     def _home_directories(self, chunk: Chunk) -> List[int]:
         dirs = sorted(
             {
-                self.machine.coherence.address_map.directory_of(line)
+                self.coherence.address_map.directory_of(line)
                 for line in chunk.true_written_lines
             }
         )
         return dirs or [0]
 
     def _expand_wpriv(self, chunk: Chunk) -> None:
-        machine = self.machine
         proc_node = Network.proc(chunk.proc)
         home_dirs = sorted(
             {
-                machine.coherence.address_map.directory_of(line)
+                self.coherence.address_map.directory_of(line)
                 for line in chunk.true_private_lines
             }
         ) or [0]
@@ -540,11 +549,11 @@ class CommitEngine:
                 TrafficClass.WR_SIG,
                 compressed_size_bytes(chunk.wpriv_sig),
             )
-            outcome = machine.dirbdms[dir_index].expand_commit(
+            outcome = self.dirbdms[dir_index].expand_commit(
                 chunk.wpriv_sig, chunk.proc, chunk.true_private_lines
             )
-            if machine.subscribers:
-                machine.publish(
+            for subscriber in self.subscribers:
+                subscriber(
                     "dir.expand", None, dir_index, chunk, chunk.true_private_lines,
                     outcome,
                 )
@@ -555,9 +564,9 @@ class CommitEngine:
         txn.phase = TxnPhase.DONE
         self._inflight.pop(txn.commit_id, None)
         for dir_index in txn.home_dirs:
-            self.machine.dirbdms[dir_index].enable_reads(txn.commit_id)
+            self.dirbdms[dir_index].enable_reads(txn.commit_id)
         if txn.admitted:
-            self.machine.arbiter.release(txn.commit_id, self.sim.now, lease=txn.lease)
+            self.arbiter.release(txn.commit_id, self.sim.now, lease=txn.lease)
             txn.admitted = False
         self.stats.bump("commit.completed")
 
@@ -567,9 +576,9 @@ class CommitEngine:
         txn.phase = TxnPhase.ABANDONED
         self._inflight.pop(txn.commit_id, None)
         for dir_index in txn.home_dirs:
-            self.machine.dirbdms[dir_index].enable_reads(txn.commit_id)
+            self.dirbdms[dir_index].enable_reads(txn.commit_id)
         if txn.admitted:
-            self.machine.arbiter.abort(txn.commit_id, self.sim.now, lease=txn.lease)
+            self.arbiter.abort(txn.commit_id, self.sim.now, lease=txn.lease)
             txn.admitted = False
         self.stats.bump("commit.abandoned_by_squash")
 
@@ -589,7 +598,7 @@ class CommitEngine:
         """
         for txn in self._inflight.values():
             if txn.chunk is chunk:
-                txn.ranges = self.machine.arbiter.ranges_of(
+                txn.ranges = self.arbiter.ranges_of(
                     chunk.true_written_lines, chunk.true_read_lines
                 )
 
@@ -601,7 +610,7 @@ class CommitEngine:
         (phase still GRANT_SENT) gets the grant re-sent under the fresh
         lease; returns the number of grants re-sent (0 or 1).
         """
-        txn.lease = self.machine.arbiter.lease_for(txn.ranges)
+        txn.lease = self.arbiter.lease_for(txn.ranges)
         if txn.phase is TxnPhase.GRANT_SENT:
             self.stats.bump("commit.recovery_grant_resends")
             self._send_grant(txn)
@@ -739,7 +748,7 @@ class CommitEngine:
         #    ground truth that no real conflict was missed (the paper
         #    argues this cannot happen because every read registers its
         #    processor as a sharer; the counter proves it).
-        for proc in range(machine.config.num_processors):
+        for proc in range(self.config.num_processors):
             if proc == chunk.proc:
                 continue
             if proc in invalidation_procs:
@@ -750,16 +759,16 @@ class CommitEngine:
         # The committing processor's cache now holds the only copies,
         # dirty (Table 1 case 2 made it the owner).
         for line in chunk.true_written_lines:
-            machine.coherence.mark_dirty_owner(chunk.proc, line)
+            self.coherence.mark_dirty_owner(chunk.proc, line)
         # Wake any spinners on values this chunk published.
         for word_addr, value in chunk.commit_updates():
-            machine.sync.notify_write(word_addr, value)
+            self.sync.notify_write(word_addr, value)
         chunk.mark(ChunkState.COMMITTED)
         self.stats.bump("commit.visible")
         # Spurious-squash fault: the environment squashes an innocent
         # processor as though its BDM had found a collision.
         for victim in self.injector.squash_victims(
-            machine.config.num_processors, chunk.proc
+            self.config.num_processors, chunk.proc
         ):
             self.stats.bump("commit.spurious_squashes")
             machine.inject_spurious_squash(victim, self.sim.now)
@@ -782,6 +791,6 @@ class CommitEngine:
             self.stats.bump("commit.duplicate_invalidations")
             return
         txn.pending_invalidations.discard(proc)
-        if self.machine.subscribers:
-            self.machine.publish("inv.deliver", proc, txn)
+        for subscriber in self.subscribers:
+            subscriber("inv.deliver", proc, txn)
         self.machine.deliver_commit_to_proc(proc, txn.chunk, self.sim.now)

@@ -19,8 +19,10 @@ the private-data store classification of Section 5.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, TYPE_CHECKING
 
+from repro.coherence.directory import DirectoryModule
+from repro.coherence.protocol import AccessOutcome
 from repro.core.chunk import Chunk, ChunkState
 from repro.core.chunking import ChunkingPolicy
 from repro.cpu.checkpoint import Checkpoint
@@ -53,9 +55,16 @@ class BulkSCDriver(ProcessorDriver):
         self.history = machine.history
         self.address_map = machine.coherence.address_map
         self.address_space = machine.address_space
-        self.stats = machine.stats
         self.bdm = machine.bdms[proc]
+        self.bdms = machine.bdms
+        self.dirbdms = machine.dirbdms
+        self.arbiter = machine.arbiter
+        self.commit_engine = machine.commit_engine
+        self.injector = machine.fault_injector
+        #: The machine's event stream (see :meth:`Machine.subscribe`).
+        self.subscribers = machine.subscribers
         self.config = machine.config.bulksc
+        self._hop = machine.config.network_hop_cycles
         self.policy = ChunkingPolicy(self.config)
         self.private_mode = self.config.private_data_mode
         self._chunk_counter = 0
@@ -84,11 +93,11 @@ class BulkSCDriver(ProcessorDriver):
         # The op-stream run loop's per-driver state (see _run_until).
         self._stream = stream_for(thread.program, self.address_map.line_shift)
         self._l1 = machine.coherence.l1s[proc]
-        directories = machine.coherence.directories
+        coherence = machine.coherence
         self._peek_home = (
-            directories[0].peek
-            if len(directories) == 1
-            else lambda line: machine.coherence.home_directory(line).peek(line)
+            coherence.directories[0].peek
+            if len(coherence.directories) == 1
+            else lambda line: coherence.home_directory(line).peek(line)
         )
         # Bloom signatures take packed masks; exact ones go through
         # insert/member.
@@ -124,7 +133,7 @@ class BulkSCDriver(ProcessorDriver):
         super().start()
         resil = self.config.resilience
         if (
-            self.machine.fault_injector.active
+            self.injector.active
             and resil.starvation_watchdog_cycles > 0
         ):
             self.sim.after(
@@ -164,13 +173,12 @@ class BulkSCDriver(ProcessorDriver):
                 self.stats.bump(f"proc{self.proc}.starvation_escalations")
                 self._prearbitrate()
             if self._starvation_strikes >= resil.starvation_strikes_before_error:
-                injector = self.machine.fault_injector
                 raise StarvationError(
                     f"proc {self.proc} made no commit progress for "
                     f"{self._starvation_strikes} watchdog windows "
                     f"({resil.starvation_watchdog_cycles} cycles each) despite "
-                    f"pre-arbitration; injected faults: {injector.summary()}",
-                    fault_trace=injector.trace,
+                    f"pre-arbitration; injected faults: {self.injector.summary()}",
+                    fault_trace=self.injector.trace,
                 )
         self.sim.after(
             resil.starvation_watchdog_cycles,
@@ -230,13 +238,13 @@ class BulkSCDriver(ProcessorDriver):
         self._current = chunk
         if self.policy.wants_prearbitration and not self._holding_reservation:
             self._prearbitrate()
-        if self.machine.subscribers:
-            self.machine.publish("chunk.start", self.proc, chunk)
+        for subscriber in self.subscribers:
+            subscriber("chunk.start", self.proc, chunk)
         return True
 
     def _prearbitrate(self) -> None:
         """Forward-progress fallback: reserve the arbiter before executing."""
-        if self.machine.arbiter.reserve(self.proc):
+        if self.arbiter.reserve(self.proc):
             self._holding_reservation = True
             self.policy.prearbitrations += 1
             self.stats.bump(f"proc{self.proc}.prearbitrations")
@@ -265,8 +273,8 @@ class BulkSCDriver(ProcessorDriver):
         self._current = None
         self._commit_fifo.append(chunk)
         self._try_submit_head()
-        if self.machine.subscribers:
-            self.machine.publish("chunk.close", self.proc, chunk, reason)
+        for subscriber in self.subscribers:
+            subscriber("chunk.close", self.proc, chunk, reason)
 
     def _try_submit_head(self) -> None:
         """Commit requests must be issued in strict per-processor order."""
@@ -280,7 +288,7 @@ class BulkSCDriver(ProcessorDriver):
             # before arbitration begins (Section 4.1.2).
             self.bdm.drain_forward_log()
             self._arbitrating = chunk
-            self.machine.commit_engine.submit(
+            self.commit_engine.submit(
                 chunk,
                 at_time=max(self.window.now, self.sim.now),
                 on_committed=self._on_chunk_committed,
@@ -289,12 +297,12 @@ class BulkSCDriver(ProcessorDriver):
             return
 
     def _on_chunk_granted(self, chunk: Chunk) -> None:
-        if self.machine.subscribers:
-            self.machine.publish("chunk.grant", self.proc, chunk)
+        for subscriber in self.subscribers:
+            subscriber("chunk.grant", self.proc, chunk)
         if self._arbitrating is chunk:
             self._arbitrating = None
         if self._holding_reservation:
-            self.machine.arbiter.clear_reservation(self.proc)
+            self.arbiter.clear_reservation(self.proc)
             self._holding_reservation = False
         if self.private_mode is PrivateDataMode.DYNAMIC:
             # Commit permission granted on W alone: the Private Buffer
@@ -304,8 +312,8 @@ class BulkSCDriver(ProcessorDriver):
         self._try_submit_head()
 
     def _on_chunk_committed(self, chunk: Chunk) -> None:
-        if self.machine.subscribers:
-            self.machine.publish("chunk.commit", self.proc, chunk)
+        for subscriber in self.subscribers:
+            subscriber("chunk.commit", self.proc, chunk)
         self.bdm.deregister_chunk(chunk)
         self.policy.note_commit()
         self.chunk_commits += 1
@@ -383,9 +391,9 @@ class BulkSCDriver(ProcessorDriver):
         ]
         if not chain:
             return
-        if self.machine.subscribers:
+        for subscriber in self.subscribers:
             for chunk in chain:
-                self.machine.publish("chunk.squash", self.proc, chunk)
+                subscriber("chunk.squash", self.proc, chunk)
         chain.sort(key=lambda c: c.chunk_id)
         for chunk in reversed(chain):
             self.squashed_instructions += chunk.instructions
@@ -444,7 +452,7 @@ class BulkSCDriver(ProcessorDriver):
         """
         self._block_reason = reason
         if reason in ("spin", "barrier-release") and self._holding_reservation:
-            self.machine.arbiter.clear_reservation(self.proc)
+            self.arbiter.clear_reservation(self.proc)
             self._holding_reservation = False
             self.stats.bump(f"proc{self.proc}.reservation_yields")
         return False
@@ -459,7 +467,7 @@ class BulkSCDriver(ProcessorDriver):
         (``sets``, ``set_mask``, ``lru_clock``), memory ``words`` and the
         BDM's ``chunks`` read in place.  The rest calls out, bracketed by
         :meth:`_spill` and :meth:`_refill`: chunk boundaries, misses
-        (``machine.bulk_fetch`` plus ``window.retire_memory``), set
+        (:meth:`bulk_fetch` plus ``window.retire_memory``), set
         overflow (:meth:`_check_overflow`), dirty-line store
         classification (:meth:`_classify_store`) and sync ops
         (:meth:`execute_op`).  Line memos survive a miss and a
@@ -495,7 +503,7 @@ class BulkSCDriver(ProcessorDriver):
         static = self.private_mode is PrivateDataMode.STATIC
         rd_ok, wr_ok, pv_ok = self._rd_ok, self._wr_ok, self._pv_ok
         spill, refill = self._spill, self._refill
-        bulk_fetch, pinned = self.machine.bulk_fetch, self.bdm.pinned
+        bulk_fetch, pinned = self.bulk_fetch, self.bdm.pinned
         retire_memory = window.retire_memory
         k_slow, k_compute, k_load, k_fence = K_SLOW, K_COMPUTE, K_LOAD, K_FENCE
         committed, squashed = ChunkState.COMMITTED, ChunkState.SQUASHED
@@ -505,7 +513,7 @@ class BulkSCDriver(ProcessorDriver):
         rm = None
         # Read-disable windows open and close only in commit events, so one
         # snapshot serves the whole batch (None: no window open anywhere).
-        busy = [dirbdm.any_read_disabled() for dirbdm in self.machine.dirbdms]
+        busy = [dirbdm.any_read_disabled() for dirbdm in self.dirbdms]
         rd_busy = busy if any(busy) else None
         (cursor, win_instr, chunk, chunk_instr, target, chunk_wb,
          chunk_log) = refill(forget=False)
@@ -687,7 +695,7 @@ class BulkSCDriver(ProcessorDriver):
                         pv_ok[line] = (cl, rm)
             else:
                 spill(pc, retired, cursor, win_instr, chunk_instr)
-                outcome = bulk_fetch(proc, line, cursor, pinned)
+                outcome = bulk_fetch(line, cursor, pinned)
                 retire_memory(outcome.latency, blocking=is_load, line_addr=line)
                 # A fill changes no other line unless its insert evicted.
                 (cursor, win_instr, chunk, chunk_instr, target, chunk_wb,
@@ -737,9 +745,8 @@ class BulkSCDriver(ProcessorDriver):
         self._departures_seen = l1.departures
         window = self.window
         chunk = self._current
-        machine = self.machine
         keep_log = chunk is not None and (
-            machine.history.enabled or bool(machine.subscribers)
+            self.history.enabled or bool(self.subscribers)
         )
         return (
             window.retire_cursor,
@@ -827,6 +834,80 @@ class BulkSCDriver(ProcessorDriver):
         chunk.true_written_lines.add(line)
 
     # ------------------------------------------------------------------
+    # Demand fetch (Sections 4.3.2, 5.2)
+    # ------------------------------------------------------------------
+    def bulk_fetch(
+        self, line_addr: int, now: float, pinned: Callable[[int], bool]
+    ) -> AccessOutcome:
+        """A chunk's demand fetch: read request + BulkSC intercepts.
+
+        Two interceptions happen before the plain coherence fill:
+
+        * **Read-disable bounce** (Section 4.3.2): the home DirBDM
+          membership-tests the line against every in-flight committed W;
+          a hit bounces the read, which retries after the commit's
+          acknowledgements — modeled as added latency.
+        * **Wpriv intervention** (Section 5.2): if the dirty owner's BDM
+          finds the line in a running chunk's Wpriv, the Private Buffer
+          supplies the *old* version and the address is added back into
+          that chunk's W signature.
+        """
+        coherence = self.coherence
+        dir_index = self.address_map.directory_of(line_addr)
+        bounced = self.dirbdms[dir_index].is_read_disabled(line_addr)
+        self._maybe_wpriv_intervention(line_addr, coherence.directories[dir_index])
+        outcome = coherence.fetch_for_chunk(
+            self.proc, line_addr, now, pinned, dir_index
+        )
+        if bounced:
+            outcome.latency += 2 * self._hop + self.commit_engine.ACK_TURNAROUND_CYCLES
+        return outcome
+
+    def _maybe_wpriv_intervention(
+        self, line_addr: int, directory: DirectoryModule
+    ) -> None:
+        entry = directory.peek(line_addr)
+        if (
+            entry is None
+            or not entry.dirty
+            or entry.owner is None
+            or entry.owner == self.proc
+        ):
+            return
+        owner = entry.owner
+        owner_bdm = self.bdms[owner]
+        if owner_bdm.wpriv_member(line_addr) is None:
+            return
+        # The predicted-private pattern broke: provide the old copy from
+        # the Private Buffer and "add back" the address to W (Section
+        # 5.2).  Every in-flight chunk that routed this line into Wpriv
+        # must move it to W — otherwise a later chunk could commit an
+        # update to the line without the requester (which now holds the
+        # line in its R signature) ever being disambiguated.
+        image = owner_bdm.private_buffer.supply(line_addr)
+        matched = False
+        for chunk in owner_bdm.active_chunks():
+            if not chunk.is_active or not chunk.wpriv_sig.member(line_addr):
+                continue
+            matched = True
+            chunk.private_buffer_lines.discard(line_addr)
+            chunk.w_sig.insert(line_addr)
+            chunk.true_written_lines.add(line_addr)
+            if chunk.state is ChunkState.ARBITRATING:
+                self.commit_engine.reresolve_ranges(chunk)
+        if not matched:
+            return
+        if image is not None:
+            self.stats.bump(f"proc{owner}.data_from_private_buffer")
+        # The old version reaches L2; the owner's cached copy is now a
+        # speculative version protected by W (pinned, re-owned at commit).
+        owner_line = self.coherence.l1s[owner].probe(line_addr)
+        if owner_line is not None:
+            owner_line.state = LineState.SHARED
+        entry.clear_owner()
+        entry.sharers.add(owner)
+
+    # ------------------------------------------------------------------
     # Synchronization inside chunks (Section 3.3)
     # ------------------------------------------------------------------
     def _sync_read(self, addr: int, instructions: int):
@@ -848,7 +929,7 @@ class BulkSCDriver(ProcessorDriver):
                 break
         else:
             value = self.memory.read(addr)
-        outcome = self.machine.bulk_fetch(self.proc, line, self.now, self.bdm.pinned)
+        outcome = self.bulk_fetch(line, self.now, self.bdm.pinned)
         self.window.retire_memory(
             outcome.latency, blocking=True, instructions=instructions, line_addr=line
         )
@@ -907,8 +988,7 @@ class BulkSCDriver(ProcessorDriver):
         self._pending_io = None
         value = resolve_operand(op.value, self.thread.registers)
         self.window.stall_until(max(self.window.now, self.sim.now) + Io.LATENCY)
-        self.machine.perform_io(self.window.now, self.proc, op.device, value)
-        self.stats.bump(f"proc{self.proc}.io_ops")
+        self._perform_io(op.device, value)
 
     def _handle_barrier(self, op: Barrier) -> bool:
         """Close the chunk, drain all commits, then arrive.

@@ -49,6 +49,7 @@ same cycle and no reconstruct phase runs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -57,6 +58,7 @@ from repro.core.commit import TxnPhase
 from repro.errors import ConfigError, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.distributed_arbiter import DistributedArbiter
     from repro.system import Machine
 
 
@@ -84,10 +86,13 @@ class ArbiterRecoveryManager:
     """
 
     def __init__(self, machine: "Machine"):
-        self.machine = machine
+        #: Weak: the machine owns the manager, and the components it
+        #: drives call back into it (the injector's ``crash_handler``,
+        #: each range arbiter's ``on_recovered``), so it reaches them
+        #: through the machine.  Crashes and recoveries are rare events.
+        self.machine = weakref.proxy(machine)
         self.stats = machine.stats
         self.resilience = machine.config.bulksc.resilience
-        self.arbiter = machine.arbiter
         self._crash_time: Dict[str, float] = {}
         self._reconstruct_time: Dict[str, float] = {}
         for target in self.crash_targets():
@@ -96,6 +101,11 @@ class ArbiterRecoveryManager:
                 arb.on_recovered = (
                     lambda now, t=target: self._on_recovered(t, now)
                 )
+
+    @property
+    def arbiter(self) -> "DistributedArbiter":
+        """The machine's arbiter front end."""
+        return self.machine.arbiter
 
     # ------------------------------------------------------------------
     def crash_targets(self) -> List[str]:
@@ -231,5 +241,5 @@ class ArbiterRecoveryManager:
 
     # ------------------------------------------------------------------
     def _emit(self, event: RecoveryEvent) -> None:
-        if self.machine.subscribers:
-            self.machine.publish(event.kind, None, event)
+        for subscriber in self.machine.subscribers:
+            subscriber(event.kind, None, event)

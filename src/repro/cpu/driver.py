@@ -41,10 +41,13 @@ class ProcessorDriver(ABC):
     batch_cycles: float = 40.0
 
     def __init__(self, proc: int, thread: ThreadContext, machine: "Machine"):
+        # The driver keeps the collaborators it uses, never the machine
+        # that owns it: a finished machine then frees by reference count.
         self.proc = proc
         self.thread = thread
-        self.machine = machine
         self.sim = machine.sim
+        self.stats = machine.stats
+        self.io_log = machine.io_log
         self.window = RetirementWindow(
             machine.config.processor, machine.coherence.l1_mshrs[proc]
         )
@@ -104,7 +107,6 @@ class ProcessorDriver(ABC):
             return
         self.state = DriverState.FINISHED
         self.finish_time = max(self.window.now, self.sim.now)
-        self.machine.driver_finished(self)
 
     # ------------------------------------------------------------------
     # Wake-ups (called by models / sync callbacks)
@@ -169,6 +171,12 @@ class ProcessorDriver(ABC):
     @abstractmethod
     def _handle_io(self, op: Io) -> bool:
         """An uncached I/O access, ordered with everything."""
+
+    def _perform_io(self, device: int, value: int) -> None:
+        """Log a completed uncached I/O write in the machine's global order."""
+        self.io_log.append((self.window.now, self.proc, device, value))
+        self.stats.bump("io.operations")
+        self.stats.bump(f"proc{self.proc}.io_ops")
 
     def on_program_end(self) -> bool:
         """Hook: flush model state (store buffers, final chunk commit).

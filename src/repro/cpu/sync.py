@@ -124,3 +124,8 @@ class SyncManager:
 
     def any_waiters(self) -> bool:
         return bool(self._watches) or bool(self._barriers)
+
+    def clear(self) -> None:
+        """Drop every waiter: a run that has returned wakes no one."""
+        self._watches.clear()
+        self._barriers.clear()

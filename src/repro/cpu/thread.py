@@ -2,31 +2,48 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.cpu.isa import Op
-from repro.cpu.opstream import OpStream, lower
+from repro.cpu.opstream import OpStream, decode, encode, lower
 from repro.errors import ProgramError
 
 
 class ThreadProgram:
-    """An immutable straight-line sequence of micro-ops."""
+    """An immutable straight-line sequence of micro-ops, held encoded.
+
+    The program keeps its ops as the geometry-free columns of
+    :func:`repro.cpu.opstream.encode` — ``kinds``, ``args``, ``regs`` and
+    ``vspecs``, tuples the cyclic collector does not track — plus
+    ``side_ops``, the few ops the columns cannot express exactly, by pc.
+    Indexing and iteration return equal frozen op dataclasses: a
+    side-table op itself, any other op rebuilt on demand, so analysis,
+    replay and tests read a program as the op list it was built from.
+    """
 
     def __init__(self, ops: Sequence[Op], name: str = "program"):
-        self._ops: List[Op] = list(ops)
         self.name = name
-        self._total_instructions = sum(op.instruction_count for op in self._ops)
-        self._memory_ops = sum(1 for op in self._ops if op.is_memory)
+        (
+            self.kinds, self.args, self.regs, self.vspecs, self.side_ops,
+            self._total_instructions, self._memory_ops,
+        ) = encode(ops)
         self._op_streams: Dict[int, OpStream] = {}
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self.kinds)
 
-    def __getitem__(self, index: int) -> Op:
-        return self._ops[index]
+    def __getitem__(self, pc):
+        if isinstance(pc, slice):
+            return [self[i] for i in range(*pc.indices(len(self.kinds)))]
+        pc = range(len(self.kinds))[pc]  # normalizes negatives, raises IndexError
+        op = self.side_ops.get(pc)
+        return op if op is not None else decode(self, pc)
 
     def __iter__(self):
-        return iter(self._ops)
+        side = self.side_ops
+        for pc in range(len(self.kinds)):
+            op = side.get(pc)
+            yield op if op is not None else decode(self, pc)
 
     @property
     def total_instructions(self) -> int:
@@ -38,10 +55,11 @@ class ThreadProgram:
         return self._memory_ops
 
     def op_stream(self, line_shift: int) -> OpStream:
-        """This program lowered to a flat op stream (``repro.cpu.opstream``).
+        """This program's flat op stream for one line geometry.
 
-        Lowering is pure per ``(program, line_shift)`` and the program is
-        immutable, so each line geometry compiles once per program.
+        Only the line column depends on the geometry
+        (:func:`repro.cpu.opstream.lower`); it is derived once per
+        ``(program, line_shift)`` and shares the program's other columns.
         """
         stream = self._op_streams.get(line_shift)
         if stream is None:
@@ -50,7 +68,7 @@ class ThreadProgram:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<ThreadProgram {self.name!r} ops={len(self._ops)} "
+            f"<ThreadProgram {self.name!r} ops={len(self.kinds)} "
             f"instructions={self._total_instructions}>"
         )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.engine.event import Event, EventQueue
 from repro.engine.rng import DeterministicRng
@@ -37,7 +37,6 @@ class Simulator:
         self._exported_compactions = 0
         self._exported_cancelled = 0
         self._end_hooks: list[Callable[[], None]] = []
-        self._diagnostic_providers: list[Callable[[], str]] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -79,17 +78,9 @@ class Simulator:
         """Register a callback invoked once when :meth:`run` finishes."""
         self._end_hooks.append(hook)
 
-    def add_diagnostic_provider(self, provider: Callable[[], str]) -> None:
-        """Register a callback contributing lines to the livelock dump.
-
-        Providers are invoked only when the ``max_events`` guard trips, so
-        they may be arbitrarily expensive.  Each should return a short
-        multi-line description of its component's state (e.g. per-driver
-        chunk phases).
-        """
-        self._diagnostic_providers.append(provider)
-
-    def _livelock_report(self, max_events: int) -> str:
+    def _livelock_report(
+        self, max_events: int, diagnostics: Sequence[Callable[[], str]]
+    ) -> str:
         """Describe what the simulation was doing when the budget blew."""
         lines = [
             f"exceeded max_events={max_events} at cycle {self.now}; likely livelock",
@@ -107,7 +98,7 @@ class Simulator:
                 lines.append(f"  {count:>6} × {label}")
         else:
             lines.append("pending events: none (budget consumed by fired events)")
-        for provider in self._diagnostic_providers:
+        for provider in diagnostics:
             try:
                 text = provider()
             except Exception as exc:  # diagnostics must never mask the abort
@@ -116,13 +107,25 @@ class Simulator:
                 lines.append(text.rstrip())
         return "\n".join(lines)
 
-    def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: int = 50_000_000,
+        diagnostics: Sequence[Callable[[], str]] = (),
+    ) -> float:
         """Run until the queue drains, ``until`` is reached, or stop().
 
         Args:
             until: Optional cycle bound (inclusive); events after it stay
                 queued.
             max_events: Safety valve against runaway simulations.
+            diagnostics: Callbacks contributing lines to the livelock
+                dump, invoked only when ``max_events`` trips, so they may
+                be arbitrarily expensive.  Each returns a short
+                multi-line description of its component's state (e.g.
+                per-driver chunk phases).  They are passed per run, not
+                kept, so an owner can describe itself without the
+                simulator holding it.
 
         Returns:
             The final simulated time.
@@ -142,7 +145,7 @@ class Simulator:
             self.now = event.time
             self._events_fired += 1
             if self._events_fired > max_events:
-                raise LivelockError(self._livelock_report(max_events))
+                raise LivelockError(self._livelock_report(max_events, diagnostics))
             event.action()
         self._export_queue_stats()
         for hook in self._end_hooks:

@@ -99,6 +99,12 @@ def generate_app_workload(
     config-major sweep over every app (Figs 10 and 11) still hits.
     Sharing is safe because the result is a pure function of the key
     and runs only read it (see :func:`build_app_workload`).
+
+    The memo is long-lived, so it is kept out of the cyclic collector's
+    way: each :class:`~repro.cpu.thread.ThreadProgram` holds its ops as
+    the encoded columns of :func:`repro.cpu.opstream.encode` (tuples the
+    collector stops tracking), not as op objects, so the 13 applications'
+    ~180k ops cost full collections nothing.
     """
     profile = SPLASH2_PROFILES.get(app) or COMMERCIAL_PROFILES.get(app)
     if profile is None:

@@ -34,6 +34,7 @@ a trace.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -79,7 +80,8 @@ class TraceRecorder:
     """Records a machine's scheduling/protocol event stream as a trace."""
 
     def __init__(self, machine: "Machine", header: dict):
-        self.machine = machine
+        #: Weak: the machine's subscriber list holds the recorder.
+        self.machine = weakref.proxy(machine)
         self.header = header
         self.records: List[TraceRecord] = []
         self._seq = 0
@@ -297,22 +299,36 @@ def force_denials(machine: "Machine", denials: Iterable[Tuple[int, int]]) -> Non
     protocol already handles via retry — so commit order is permuted
     without ever forging a grant or touching arbiter bookkeeping
     (``decide`` is stateless; admission happens separately).  It wraps
-    the machine's one arbiter front end, so it works on both topologies.
+    the commit engine's handle on the machine's one arbiter front end
+    (the engine is the only caller of ``decide``), so it works on both
+    topologies.
     """
-    arbiter = machine.arbiter
-    if arbiter is None:
+    engine = machine.commit_engine
+    if engine is None:
         return
-    remaining = dict(denials)
-    original_decide = arbiter.decide
+    engine.arbiter = _ForcedDenials(engine.arbiter, dict(denials))
 
-    def perturbed_decide(proc, *args, **kwargs):
-        decision = original_decide(proc, *args, **kwargs)
+
+class _ForcedDenials:
+    """The arbiter front end as the commit engine sees it under
+    :func:`force_denials`: ``decide`` turns the first ``n`` grants to each
+    processor into denials, every other call goes to the real front end.
+    """
+
+    def __init__(self, arbiter, remaining: Dict[int, int]):
+        self._arbiter = arbiter
+        self._remaining = remaining
+
+    def __getattr__(self, name: str):
+        return getattr(self._arbiter, name)
+
+    def decide(self, proc, *args, **kwargs):
+        decision = self._arbiter.decide(proc, *args, **kwargs)
+        remaining = self._remaining
         if decision.granted and remaining.get(proc, 0) > 0:
             remaining[proc] -= 1
             return replace(decision, granted=False, reason="forced denial")
         return decision
-
-    arbiter.decide = perturbed_decide
 
 
 def run_cell(cell: "CampaignCell", header: Optional[dict] = None) -> CellRun:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.engine.rng import derive_seed
 from repro.errors import ServiceError, TransportError
 from repro.service import clock
-from repro.service.certify import certify_run
+from repro.service.certify import CertifyResult, certify_run
 from repro.service.client import KVClient, Op
 from repro.service.cluster import ClusterConfig, build_cluster_config
 from repro.service.supervisor import Supervisor, sync_request
@@ -145,7 +145,17 @@ def _max_stall(completions: Sequence[float], window: Tuple[float, float]) -> flo
 # ----------------------------------------------------------------------
 
 async def run_bench(options: BenchOptions) -> dict:
-    """Run one bench (optionally with a mid-load arbiter kill); certify."""
+    """Run one bench (optionally with a mid-load arbiter kill); certify.
+
+    Returns the JSON payload; :func:`bench_and_certify` also returns the
+    full certification it embeds.
+    """
+    payload, __ = await bench_and_certify(options)
+    return payload
+
+
+async def bench_and_certify(options: BenchOptions) -> Tuple[dict, CertifyResult]:
+    """:func:`run_bench`'s payload and the one certification it ran."""
     try:
         profile = COMMERCIAL_PROFILES[options.profile]
     except KeyError:
@@ -239,7 +249,7 @@ async def run_bench(options: BenchOptions) -> dict:
         },
         "certification": certification.payload(),
     }
-    return payload
+    return payload, certification
 
 
 def _collect_takeovers(config: ClusterConfig) -> int:
@@ -275,4 +285,4 @@ def render_bench(payload: dict) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["BenchOptions", "batch_for", "render_bench", "run_bench"]
+__all__ = ["BenchOptions", "batch_for", "bench_and_certify", "render_bench", "run_bench"]

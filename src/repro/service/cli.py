@@ -160,7 +160,7 @@ def _certification_exit(ok: bool) -> int:
 def _cmd_service_bench(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.service.bench import BenchOptions, render_bench, run_bench
+    from repro.service.bench import BenchOptions, bench_and_certify, render_bench
     from repro.service.certify import render_certification
     from repro.service.faultproxy import parse_partitions
 
@@ -183,7 +183,7 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
             lease_timeout=args.lease_timeout,
             request_timeout=args.request_timeout,
         )
-        payload = asyncio.run(run_bench(options))
+        payload, certification = asyncio.run(bench_and_certify(options))
     except ConfigError as exc:
         print(f"service bench: {exc}", file=sys.stderr)
         return 2
@@ -194,12 +194,8 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_bench(payload))
-        from repro.service.certify import certify_run
-
-        # Re-render the already-computed verdict without re-certifying.
-        result = certify_run(service_dir, seed=args.seed)
-        print(render_certification(result))
-    return _certification_exit(bool(payload["certification"]["ok"]))
+        print(render_certification(certification))
+    return _certification_exit(certification.ok)
 
 
 def _cmd_service_certify(args: argparse.Namespace) -> int:

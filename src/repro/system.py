@@ -15,18 +15,19 @@ tests, and benchmark harness.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.coherence.dirbdm import DirBDM
-from repro.coherence.directory import DirectoryModule
-from repro.coherence.protocol import AccessOutcome, CoherenceController
+from repro.coherence.protocol import CoherenceController
 from repro.consistency.rc import RCDriver
 from repro.consistency.sc import SCDriver
 from repro.consistency.scpp import SCPPDriver
 from repro.consistency.tso import TSODriver
 from repro.core.bdm import BDM
-from repro.core.chunk import Chunk, ChunkState
+from repro.core.chunk import Chunk
 from repro.core.commit import CommitEngine
 from repro.core.distributed_arbiter import DistributedArbiter
 from repro.core.driver import BulkSCDriver
@@ -41,7 +42,6 @@ from repro.interconnect.network import Network
 from repro.signatures.bloom import INDEX_CACHE
 from repro.interconnect.traffic import TrafficClass
 from repro.memory.address import AddressSpace
-from repro.memory.cache import LineState
 from repro.memory.main_memory import MainMemory
 from repro.params import (
     ArbiterTopology,
@@ -85,8 +85,29 @@ class RunResult:
         return replace(self, machine=None)
 
 
+def _count_spec_read_displacement(
+    bdms: List[BDM], stats, proc: int, line_addr: int
+) -> None:
+    """Table 3 bookkeeping: displacement of speculatively-read lines.
+
+    The L1 eviction observer of a BulkSC machine.
+    """
+    for chunk in bdms[proc].active_chunks():
+        if chunk.is_active and line_addr in chunk.true_read_lines:
+            stats.bump(f"proc{proc}.spec_read_displacements")
+            return
+
+
 class Machine:
-    """One simulated multiprocessor running one workload."""
+    """One simulated multiprocessor running one workload.
+
+    The machine owns its components, and they keep the collaborators
+    they use rather than the machine.  The few edges that must point back
+    up (a driver's or the commit engine's reach into the other drivers,
+    the recovery manager, the directory cache's displacement hook) are
+    weak, so a finished machine, once dropped, is freed by reference
+    counting and leaves nothing for the cyclic collector.
+    """
 
     def __init__(
         self,
@@ -113,26 +134,32 @@ class Machine:
         )
         self.fault_injector.bind(self.sim)
         self.fault_injector.subscribers = self.subscribers
-        self.sim.add_diagnostic_provider(self._driver_diagnostics)
         self.memory = MainMemory()
         use_dir_cache = (
             config.model is ConsistencyModelKind.BULKSC
             and config.bulksc.use_directory_cache
         )
+        # The directory cache is owned by the machine: its displacement
+        # hook calls back through a weak proxy.
+        machine = weakref.proxy(self)
         self.coherence = CoherenceController(
             config,
             self.stats,
             use_directory_cache=use_dir_cache,
             directory_cache_sets=config.bulksc.directory_cache_sets,
             directory_cache_ways=config.bulksc.directory_cache_ways,
-            on_directory_displace=self._on_directory_displacement
+            on_directory_displace=(
+                lambda entry: machine._on_directory_displacement(entry)
+            )
             if use_dir_cache
             else None,
         )
         self.sync = SyncManager(self.sim)
         self.history = ExecutionHistory(enabled=record_history)
         self.address_space = address_space
-        self.coherence.eviction_observer = self._on_l1_eviction
+        #: Non-speculative I/O operations, in global order:
+        #: (time, proc, device, value).
+        self.io_log: List[tuple] = []
         # Threads: unassigned processors idle on an empty program.
         self.threads: List[ThreadContext] = []
         for proc in range(config.num_processors):
@@ -160,19 +187,9 @@ class Machine:
             for driver in self.drivers
             if hasattr(driver, "on_remote_write")
         ]
-        self._finished_count = 0
-        self._result: Optional[RunResult] = None
         # Baseline of the process-global signature index cache, so run()
         # can record this machine's hit/miss/eviction deltas in its stats.
         self._index_cache_base = INDEX_CACHE.counters()
-        #: Non-speculative I/O operations, in global order:
-        #: (time, proc, device, value).
-        self.io_log: List[tuple] = []
-
-    def perform_io(self, time: float, proc: int, device: int, value: int) -> None:
-        """Record a completed uncached I/O operation."""
-        self.io_log.append((time, proc, device, value))
-        self.stats.bump("io.operations")
 
     # ------------------------------------------------------------------
     # Chunk-lifecycle event stream
@@ -205,10 +222,6 @@ class Machine:
         """
         self.subscribers.append(subscriber)
 
-    def publish(self, ev: str, p: Optional[int], *payload) -> None:
-        for subscriber in self.subscribers:
-            subscriber(ev, p, *payload)
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -238,6 +251,9 @@ class Machine:
         self.recovery = ArbiterRecoveryManager(self)
         self.fault_injector.crash_handler = self.recovery.crash
         self.fault_injector.crash_targets = self.recovery.crash_targets()
+        self.coherence.eviction_observer = functools.partial(
+            _count_spec_read_displacement, self.bdms, self.stats
+        )
 
     def _build_driver(self, proc: int) -> ProcessorDriver:
         model = self.config.model
@@ -313,83 +329,6 @@ class Machine:
                 driver.on_incoming_commit(chunk, now, on_invalidation_list=False)
                 return
 
-    def bulk_fetch(
-        self,
-        proc: int,
-        line_addr: int,
-        now: float,
-        pinned: Callable[[int], bool],
-    ) -> AccessOutcome:
-        """A chunk's demand fetch: read request + BulkSC intercepts.
-
-        Two interceptions happen before the plain coherence fill:
-
-        * **Read-disable bounce** (Section 4.3.2): the home DirBDM
-          membership-tests the line against every in-flight committed W;
-          a hit bounces the read, which retries after the commit's
-          acknowledgements — modeled as added latency.
-        * **Wpriv intervention** (Section 5.2): if the dirty owner's BDM
-          finds the line in a running chunk's Wpriv, the Private Buffer
-          supplies the *old* version and the address is added back into
-          that chunk's W signature.
-        """
-        coherence = self.coherence
-        dir_index = coherence.address_map.directory_of(line_addr)
-        bounced = self.dirbdms[dir_index].is_read_disabled(line_addr)
-        self._maybe_wpriv_intervention(
-            proc, line_addr, coherence.directories[dir_index]
-        )
-        outcome = coherence.fetch_for_chunk(proc, line_addr, now, pinned, dir_index)
-        if bounced:
-            outcome.latency += (
-                2 * self.config.network_hop_cycles + CommitEngine.ACK_TURNAROUND_CYCLES
-            )
-        return outcome
-
-    def _maybe_wpriv_intervention(
-        self, requester: int, line_addr: int, directory: DirectoryModule
-    ) -> None:
-        entry = directory.peek(line_addr)
-        if (
-            entry is None
-            or not entry.dirty
-            or entry.owner is None
-            or entry.owner == requester
-        ):
-            return
-        owner = entry.owner
-        owner_bdm = self.bdms[owner]
-        if owner_bdm.wpriv_member(line_addr) is None:
-            return
-        # The predicted-private pattern broke: provide the old copy from
-        # the Private Buffer and "add back" the address to W (Section
-        # 5.2).  Every in-flight chunk that routed this line into Wpriv
-        # must move it to W — otherwise a later chunk could commit an
-        # update to the line without the requester (which now holds the
-        # line in its R signature) ever being disambiguated.
-        image = owner_bdm.private_buffer.supply(line_addr)
-        matched = False
-        for chunk in owner_bdm.active_chunks():
-            if not chunk.is_active or not chunk.wpriv_sig.member(line_addr):
-                continue
-            matched = True
-            chunk.private_buffer_lines.discard(line_addr)
-            chunk.w_sig.insert(line_addr)
-            chunk.true_written_lines.add(line_addr)
-            if chunk.state is ChunkState.ARBITRATING:
-                self.commit_engine.reresolve_ranges(chunk)
-        if not matched:
-            return
-        if image is not None:
-            self.stats.bump(f"proc{owner}.data_from_private_buffer")
-        # The old version reaches L2; the owner's cached copy is now a
-        # speculative version protected by W (pinned, re-owned at commit).
-        owner_line = self.coherence.l1s[owner].probe(line_addr)
-        if owner_line is not None:
-            owner_line.state = LineState.SHARED
-        entry.clear_owner()
-        entry.sharers.add(owner)
-
     def _on_directory_displacement(self, entry) -> None:
         """Directory-cache displacement protocol (Section 4.3.3).
 
@@ -447,30 +386,33 @@ class Machine:
                 self.coherence.writeback_line(proc, line_addr)
             self.coherence.invalidate_in_cache(proc, line_addr)
 
-    def _on_l1_eviction(self, proc: int, line_addr: int) -> None:
-        """Table 3 bookkeeping: displacement of speculatively-read lines."""
-        if not self.bdms:
-            return
-        for chunk in self.bdms[proc].active_chunks():
-            if chunk.is_active and line_addr in chunk.true_read_lines:
-                self.stats.bump(f"proc{proc}.spec_read_displacements")
-                return
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def driver_finished(self, driver: ProcessorDriver) -> None:
-        self._finished_count += 1
-
     def run(
         self,
         max_cycles: Optional[float] = None,
         max_events: int = 50_000_000,
     ) -> RunResult:
-        """Execute the workload to completion and collect results."""
+        """Execute the workload to completion and collect results.
+
+        Whatever is still queued when the run returns (events past a
+        ``max_cycles`` cut, lazily-cancelled entries, spinners nothing
+        will wake) can never fire; it is dropped, so neither the
+        simulator nor the sync manager holds a driver and a dropped
+        machine frees by reference count.
+        """
         for driver in self.drivers:
             driver.start()
-        self.sim.run(until=max_cycles, max_events=max_events)
+        try:
+            self.sim.run(
+                until=max_cycles,
+                max_events=max_events,
+                diagnostics=(self._driver_diagnostics,),
+            )
+        finally:
+            self.sim.queue.clear()
+            self.sync.clear()
         unfinished = [d.proc for d in self.drivers if d.state is not DriverState.FINISHED]
         if unfinished and max_cycles is None:
             details = {
@@ -493,7 +435,7 @@ class Machine:
             delta = value - self._index_cache_base.get(key, 0)
             if delta:
                 self.stats.bump_volatile(f"signature.index_cache.{key}", delta)
-        self._result = RunResult(
+        return RunResult(
             config=self.config,
             cycles=cycles,
             per_proc_finish=finish_times,
@@ -505,7 +447,6 @@ class Machine:
             memory=self.memory,
             machine=self,
         )
-        return self._result
 
 
 def run_workload(

@@ -70,7 +70,9 @@ class ChunkTracer:
     """
 
     def __init__(self, machine: "Machine"):
-        self.machine = machine
+        # The clock, not the machine: the machine's subscriber list holds
+        # the tracer.
+        self.sim = machine.sim
         self.records: List[TraceRecord] = []
 
     # ------------------------------------------------------------------
@@ -88,7 +90,7 @@ class ChunkTracer:
         self.records.append(
             TraceRecord(
                 seq=len(self.records) + 1,
-                t=self.machine.sim.now,
+                t=self.sim.now,
                 ev=ev,
                 p=p,
                 data=chunk_record_data(ev, *payload),

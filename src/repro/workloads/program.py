@@ -129,7 +129,9 @@ def validate_barriers(programs: Sequence[ThreadProgram]) -> None:
     declared: Dict[int, int] = {}
     uses: Dict[int, Dict[int, int]] = {}  # barrier_id -> thread -> count
     for thread, program in enumerate(programs):
-        for op in program:
+        # A barrier is a sync op, so it is always one of the program's
+        # side-table ops: the encoded columns need not be decoded.
+        for op in program.side_ops.values():
             if not isinstance(op, Barrier):
                 continue
             seen = declared.get(op.barrier_id)

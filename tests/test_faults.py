@@ -256,25 +256,23 @@ class TestLivelockDiagnostics:
 
     def test_diagnostic_providers_included(self):
         sim = Simulator()
-        sim.add_diagnostic_provider(lambda: "component: quite stuck")
 
         def loop():
             sim.after(1.0, loop, label="x")
 
         sim.after(1.0, loop, label="x")
         with pytest.raises(LivelockError, match="quite stuck"):
-            sim.run(max_events=10)
+            sim.run(max_events=10, diagnostics=[lambda: "component: quite stuck"])
 
     def test_failing_provider_does_not_mask_abort(self):
         sim = Simulator()
-        sim.add_diagnostic_provider(lambda: 1 / 0)
 
         def loop():
             sim.after(1.0, loop, label="x")
 
         sim.after(1.0, loop, label="x")
         with pytest.raises(LivelockError, match="diagnostic provider failed"):
-            sim.run(max_events=10)
+            sim.run(max_events=10, diagnostics=[lambda: 1 / 0])
 
     def test_machine_run_reports_driver_state(self):
         config, programs, space = _two_thread_workload()
