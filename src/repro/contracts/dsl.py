@@ -16,7 +16,8 @@ stream — no simulator execution.  Its three parts:
 Clauses also report **activations** — how many times their antecedent
 actually fired.  A clause that never activates proves nothing (vacuous
 truth); the bounded model checker (:mod:`repro.contracts.modelcheck`)
-uses activation counts to reject vacuous contract specs statically.
+sums activation counts over a grid of real recorded runs and rejects a
+contract spec with a clause that never fires.
 
 The witness format is shared beyond this package: the dynamic
 serializability checker (:mod:`repro.verify.serializability`) emits the

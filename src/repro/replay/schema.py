@@ -82,6 +82,15 @@ class TraceValidationError(ReproError):
     """A trace file violated the schema (corrupt, truncated, or foreign)."""
 
 
+def _is_denial(pair: object) -> bool:
+    """Whether ``pair`` is a ``[proc, n]`` pair of non-negative integers."""
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(type(v) is int and v >= 0 for v in pair)
+    )
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """One observed event in a recorded run."""
@@ -196,6 +205,14 @@ class Trace:
             # settings (no_retry) and is fine next to a script.
             raise TraceValidationError(
                 "trace carries both a fault plan and a fault script"
+            )
+        denials = self.header.get("denials")
+        if denials is not None and not (
+            isinstance(denials, list) and all(_is_denial(pair) for pair in denials)
+        ):
+            raise TraceValidationError(
+                f"trace header denials {denials!r} must be a list of "
+                "[proc, n] pairs of non-negative integers"
             )
         for i, record in enumerate(self.records):
             if record.seq != i + 1:

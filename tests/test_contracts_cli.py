@@ -124,17 +124,16 @@ class TestComponentFilter:
 
 class TestModelcheckFlag:
     def test_modelcheck_without_traces(self, capsys):
-        # chunks=1 leaves one clause vacuous -> findings (exit 1); the
-        # run itself stays cheap. The passing 2-chunk default runs in CI.
-        code = main(
-            ["analyze", "contracts", "--modelcheck", "--chunks", "1",
-             "--json"]
-        )
-        assert code == 1
+        # The full bounded search over real runs: every clause active,
+        # no violation, every seeded mutation caught by its owner.
+        code = main(["analyze", "contracts", "--modelcheck", "--json"])
+        assert code == 0
         payload = json.loads(capsys.readouterr().out)
         result = payload["modelcheck"]
-        assert result["vacuous_clauses"] == ["network/per-victim-fifo"]
-        assert result["legal"]["base"]["states"] > 0
+        assert result["ok"], result["problems"]
+        assert result["legal"]["vacuous_clauses"] == []
+        assert result["legal"]["explored"] > 0
+        assert result["legal"]["pruned"] > 0
         assert all(
             entry["caught"] for entry in result["mutations"].values()
         )
