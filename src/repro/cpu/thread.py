@@ -22,11 +22,23 @@ class ThreadProgram:
     """
 
     def __init__(self, ops: Sequence[Op], name: str = "program"):
+        self._adopt(encode(ops), name)
+
+    @classmethod
+    def from_columns(cls, columns: tuple, name: str = "program") -> "ThreadProgram":
+        """The program of already-encoded ``columns`` (as
+        :meth:`repro.cpu.opstream.Encoder.columns` returns them), adopted
+        as they are."""
+        program = cls.__new__(cls)
+        program._adopt(columns, name)
+        return program
+
+    def _adopt(self, columns: tuple, name: str) -> None:
         self.name = name
         (
             self.kinds, self.args, self.regs, self.vspecs, self.side_ops,
             self._total_instructions, self._memory_ops,
-        ) = encode(ops)
+        ) = columns
         self._op_streams: Dict[int, OpStream] = {}
 
     def __len__(self) -> int:

@@ -57,11 +57,42 @@ class DeterministicRng:
         """
         return DeterministicRng(derive_seed(self.seed, label))
 
-    # Thin wrappers over random.Random -------------------------------------
+    # Draws ----------------------------------------------------------------
+    # randint and shuffle are the workload generator's hot draws, so they
+    # run CPython's own algorithm (Random.randrange -> _randbelow_with_
+    # getrandbits, Random.shuffle) on getrandbits directly instead of
+    # through its four-frame call chain.  They consume the underlying
+    # Mersenne Twister exactly as the stdlib does, draw for draw, so a
+    # stream is the same whichever path drew from it.
     def randint(self, lo: int, hi: int) -> int:
+        """A uniform int in ``[lo, hi]``, as ``random.Random.randint``."""
         self.draws += 1
-        return self._random.randint(lo, hi)
+        width = hi - lo + 1
+        if width <= 0:
+            raise ValueError(f"empty range for randint({lo}, {hi})")
+        getrandbits = self._random.getrandbits
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:  # rejection sampling, as _randbelow
+            r = getrandbits(k)
+        return lo + r
 
+    def shuffle(self, seq: List[T]) -> None:
+        """Shuffle ``seq`` in place, as ``random.Random.shuffle``.
+
+        The draws depend only on ``len(seq)``, never on its items.
+        """
+        self.draws += 1
+        getrandbits = self._random.getrandbits
+        for i in range(len(seq) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            seq[i], seq[j] = seq[j], seq[i]
+
+    # Thin wrappers over random.Random -------------------------------------
     def random(self) -> float:
         self.draws += 1
         return self._random.random()
@@ -73,10 +104,6 @@ class DeterministicRng:
     def choice(self, seq: Sequence[T]) -> T:
         self.draws += 1
         return self._random.choice(seq)
-
-    def shuffle(self, seq: List[T]) -> None:
-        self.draws += 1
-        self._random.shuffle(seq)
 
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         self.draws += 1

@@ -7,28 +7,34 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.isa import (
     Barrier,
-    Compute,
     Fence,
     Io,
-    Load,
     LockAcquire,
     LockRelease,
     Op,
     Operand,
+    RegPlus,
     SpinUntil,
-    Store,
 )
+from repro.cpu.opstream import Encoder
 from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError
 from repro.memory.address import AddressSpace
 
 
 class ProgramBuilder:
-    """Fluent construction of one thread's op sequence."""
+    """Fluent construction of one thread's op sequence.
+
+    The builder writes each op straight into an
+    :class:`~repro.cpu.opstream.Encoder`: loads, compute bursts and
+    stores are encoded from their fields, with no op object built, and
+    :meth:`build` adopts a snapshot of the encoded columns without
+    encoding anything again.
+    """
 
     def __init__(self, name: str = "program"):
         self.name = name
-        self._ops: List[Op] = []
+        self._encoder = Encoder()
         self._reg_counter = 0
 
     # -- basic ops ------------------------------------------------------
@@ -36,42 +42,42 @@ class ProgramBuilder:
         if reg is None:
             self._reg_counter += 1
             reg = f"t{self._reg_counter}"
-        self._ops.append(Load(reg, addr))
+        self._encoder.load(reg, addr)
         return self
 
     def store(self, addr: int, value: Operand) -> "ProgramBuilder":
-        self._ops.append(Store(addr, value))
+        self._encoder.store(addr, value)
         return self
 
     def compute(self, count: int) -> "ProgramBuilder":
         if count < 0:
             raise ProgramError(f"compute count must be >= 0, got {count}")
         if count > 0:
-            self._ops.append(Compute(count))
+            self._encoder.compute(count)
         return self
 
     def acquire(self, lock_addr: int) -> "ProgramBuilder":
-        self._ops.append(LockAcquire(lock_addr))
+        self._encoder.append(LockAcquire(lock_addr))
         return self
 
     def release(self, lock_addr: int) -> "ProgramBuilder":
-        self._ops.append(LockRelease(lock_addr))
+        self._encoder.append(LockRelease(lock_addr))
         return self
 
     def barrier(self, barrier_id: int, participants: int) -> "ProgramBuilder":
-        self._ops.append(Barrier(barrier_id, participants))
+        self._encoder.append(Barrier(barrier_id, participants))
         return self
 
     def fence(self) -> "ProgramBuilder":
-        self._ops.append(Fence())
+        self._encoder.append(Fence())
         return self
 
     def spin_until(self, addr: int, value: int) -> "ProgramBuilder":
-        self._ops.append(SpinUntil(addr, value))
+        self._encoder.append(SpinUntil(addr, value))
         return self
 
     def io(self, device: int, value: Operand) -> "ProgramBuilder":
-        self._ops.append(Io(device, value))
+        self._encoder.append(Io(device, value))
         return self
 
     # -- composite idioms -------------------------------------------------
@@ -79,30 +85,30 @@ class ProgramBuilder:
         """Unsynchronized increment: load, compute, store reg+addend."""
         self._reg_counter += 1
         reg = f"t{self._reg_counter}"
-        self._ops.append(Load(reg, addr))
-        self._ops.append(Compute(2))
-        from repro.cpu.isa import RegPlus
-
-        self._ops.append(Store(addr, RegPlus(reg, addend)))
+        encoder = self._encoder
+        encoder.load(reg, addr)
+        encoder.compute(2)
+        encoder.store(addr, RegPlus(reg, addend))
         return self
 
     def critical_section(
         self, lock_addr: int, body: List[Op]
     ) -> "ProgramBuilder":
         self.acquire(lock_addr)
-        self._ops.extend(body)
+        for op in body:
+            self._encoder.append(op)
         self.release(lock_addr)
         return self
 
     # -- finalization ----------------------------------------------------
     def ops(self) -> List[Op]:
-        return list(self._ops)
+        return list(self.build())
 
     def build(self) -> ThreadProgram:
-        return ThreadProgram(self._ops, name=self.name)
+        return ThreadProgram.from_columns(self._encoder.columns(), name=self.name)
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._encoder.kinds)
 
 
 def validate_barriers(programs: Sequence[ThreadProgram]) -> None:

@@ -187,29 +187,32 @@ class _ProfileThreadGenerator:
             else []
         )
         # Access streams: each shared read line touched ~1.3 times; the
-        # rest of the memory budget goes to hot private traffic.
-        ops: List[tuple] = []
+        # rest of the memory budget goes to hot private traffic.  Each
+        # access is one int, ``word << 1 | is_store``: the schedule holds
+        # no per-access tuple, and the shuffle's draws depend only on
+        # its length.
+        accesses: List[int] = []
         for word in read_words:
-            ops.append(("sr", word))
+            accesses.append(word << 1)
             if self.rng.random() < 0.3:
-                ops.append(("sr", word))
+                accesses.append(word << 1)
         hot_reads = int(memory_budget * self.profile.hot_fraction)
         for __ in range(hot_reads):
-            ops.append(("sr", self._hot_read_word()))
+            accesses.append(self._hot_read_word() << 1)
         private_writes = max(1, int(round(profile.private_write_lines * 2.0)))
         for __ in range(private_writes):
-            ops.append(("pw", self._private_write_word()))
-        remaining = memory_budget - len(ops)
+            accesses.append(self._private_write_word() << 1 | 1)
+        remaining = memory_budget - len(accesses)
         for __ in range(max(0, remaining)):
-            ops.append(("pr", self._private_read_word()))
-        self.rng.shuffle(ops)
+            accesses.append(self._private_read_word() << 1)
+        self.rng.shuffle(accesses)
         # Publishing writes go in as one contiguous burst so they land in
         # a single chunk — shared-data publication is phase-like in real
         # applications, which is what makes most commits' W empty.
         if write_words:
-            insert_at = self.rng.randint(0, len(ops))
-            ops[insert_at:insert_at] = [("sw", word) for word in write_words]
-        total_memory = len(ops)
+            insert_at = self.rng.randint(0, len(accesses))
+            accesses[insert_at:insert_at] = [word << 1 | 1 for word in write_words]
+        total_memory = len(accesses)
         compute_budget = INTERVAL_INSTRUCTIONS - total_memory
         per_gap = compute_budget / max(1, total_memory)
         carry = 0.0
@@ -218,23 +221,23 @@ class _ProfileThreadGenerator:
             and profile.lock_interval > 0
             and self._interval_index % profile.lock_interval == 0
         )
+        builder = self.builder
         if in_critical:
             lock_index = self.rng.randint(0, profile.locks - 1)
-            self.builder.acquire(self._lock_addr(lock_index))
+            builder.acquire(self._lock_addr(lock_index))
             for __ in range(profile.critical_section_lines):
-                self.builder.read_modify_write(self._lock_hot_word(lock_index))
-            self.builder.release(self._lock_addr(lock_index))
-        for kind, word in ops:
-            if kind == "sr" or kind == "pr":
-                self.builder.load(word)
-            elif kind == "sw":
-                self.builder.store(word, self._interval_index)
+                builder.read_modify_write(self._lock_hot_word(lock_index))
+            builder.release(self._lock_addr(lock_index))
+        value = self._interval_index
+        for access in accesses:
+            if access & 1:
+                builder.store(access >> 1, value)
             else:
-                self.builder.store(word, self._interval_index)
+                builder.load(access >> 1)
             carry += per_gap
             if carry >= 1.0:
                 burst = int(carry)
-                self.builder.compute(burst)
+                builder.compute(burst)
                 carry -= burst
 
     def _emit_warmup(self) -> None:

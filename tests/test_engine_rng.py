@@ -1,5 +1,7 @@
 """Unit tests for deterministic randomness."""
 
+import random
+
 import pytest
 
 from repro.engine.rng import DeterministicRng
@@ -113,3 +115,63 @@ class TestDrawAccounting:
         rng = DeterministicRng(4)
         rng.fork("child")
         assert rng.draws == 0
+
+
+class TestDrawKernel:
+    """randint and shuffle draw on getrandbits directly; the stream must
+    stay the stdlib's, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (0, 0),  # width 1
+            (0, 1),  # width 2
+            (0, 2**7 - 2),  # 2^k - 1
+            (0, 2**7 - 1),  # 2^k
+            (0, 2**7),  # 2^k + 1
+            (5, 5 + 2**16),
+            (0, 2**40),  # above 2^32: getrandbits spans words
+            (-50, 13),  # negative lo
+            (-(2**35), -(2**33)),
+        ],
+    )
+    def test_randint_matches_stdlib(self, lo, hi):
+        for seed in (0, 1, 12345):
+            ours, theirs = DeterministicRng(seed), random.Random(seed)
+            # Interleave another draw so the underlying state must stay
+            # aligned, not just the values.
+            for __ in range(200):
+                assert ours.randint(lo, hi) == theirs.randint(lo, hi)
+                assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 1000])
+    def test_shuffle_matches_stdlib(self, length):
+        for seed in (0, 7):
+            ours, theirs = DeterministicRng(seed), random.Random(seed)
+            a, b = list(range(length)), list(range(length))
+            ours.shuffle(a)
+            theirs.shuffle(b)
+            assert a == b
+            assert ours.randint(0, 10**9) == theirs.randint(0, 10**9)
+
+    def test_shuffle_draws_depend_only_on_length(self):
+        a, b = DeterministicRng(3), DeterministicRng(3)
+        ints, words = list(range(50)), [str(i) for i in range(50)]
+        a.shuffle(ints)
+        b.shuffle(words)
+        assert [str(i) for i in ints] == words
+
+    def test_empty_range_raises_like_stdlib(self):
+        with pytest.raises(ValueError):
+            random.Random(0).randint(5, 4)
+        rng = DeterministicRng(0)
+        with pytest.raises(ValueError):
+            rng.randint(5, 4)
+        assert rng.draws == 1
+
+    def test_one_draw_per_call(self):
+        rng = DeterministicRng(0)
+        rng.randint(0, 2**40)
+        rng.shuffle(list(range(1000)))
+        rng.randint(-3, 3)
+        assert rng.draws == 3

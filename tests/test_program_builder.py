@@ -8,7 +8,20 @@ behaviour, once through :func:`repro.analysis.footprint.analyze_programs`.
 import pytest
 
 from repro.analysis.footprint import analyze_programs
-from repro.cpu.isa import Barrier, Load, Store
+from repro.cpu.isa import (
+    Barrier,
+    Compute,
+    Fence,
+    Io,
+    Load,
+    LockAcquire,
+    LockRelease,
+    Reg,
+    RegPlus,
+    SpinUntil,
+    Store,
+)
+from repro.cpu.opstream import K_COMPUTE, K_LOAD, K_RELEASE, K_STORE, V_REGPLUS
 from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError
 from repro.memory.address import AddressMap, AddressSpace
@@ -141,3 +154,122 @@ class TestBarrierValidation:
         for app in list(ALL_APPS)[:4]:
             workload = build_app_workload(app, config, 500, 0)
             assert workload.num_threads >= 1
+
+
+class _TaggedLoad(Load):
+    """An op-dataclass subclass: the columns cannot express it exactly."""
+
+
+def _columns(program):
+    return (
+        program.kinds, program.args, program.regs, program.vspecs,
+        program.side_ops, program.total_instructions, program.memory_op_count,
+    )
+
+
+class TestEncoderPath:
+    """The builder writes into the encoder; the result must equal what
+    encoding the same ops as a list gives."""
+
+    @staticmethod
+    def every_form():
+        """A builder using every method and store operand form, and the
+        op list it stands for."""
+        builder = (
+            ProgramBuilder("forms")
+            .compute(5)
+            .load(0x10)
+            .load(0x18, reg="r")
+            .store(0x20, 7)
+            .store(0x28, True)  # an int subclass
+            .store(0x30, Reg("r"))
+            .store(0x38, RegPlus("r", -2))
+            .store(0x40, 1.5)  # an operand no value spec expresses
+            .acquire(0x100)
+            .release(0x100)
+            .barrier(3, 1)
+            .fence()
+            .spin_until(0x48, 1)
+            .io(2, 9)
+            .io(3, RegPlus("r", 1))
+            .read_modify_write(0x50, addend=4)
+            .critical_section(0x108, [_TaggedLoad("x", 0x58), Store(0x60, Reg("x"))])
+        )
+        ops = [
+            Compute(5),
+            Load("t1", 0x10),
+            Load("r", 0x18),
+            Store(0x20, 7),
+            Store(0x28, True),
+            Store(0x30, Reg("r")),
+            Store(0x38, RegPlus("r", -2)),
+            Store(0x40, 1.5),
+            LockAcquire(0x100),
+            LockRelease(0x100),
+            Barrier(3, 1),
+            Fence(),
+            SpinUntil(0x48, 1),
+            Io(2, 9),
+            Io(3, RegPlus("r", 1)),
+            Load("t2", 0x50),
+            Compute(2),
+            Store(0x50, RegPlus("t2", 4)),
+            LockAcquire(0x108),
+            _TaggedLoad("x", 0x58),
+            Store(0x60, Reg("x")),
+            LockRelease(0x108),
+        ]
+        return builder, ops
+
+    def test_build_equals_encoding_the_op_list(self):
+        builder, ops = self.every_form()
+        built = builder.build()
+        assert _columns(built) == _columns(ThreadProgram(ops))
+        assert built.name == "forms"
+        assert type(built[19]) is _TaggedLoad  # kept as itself
+        assert sorted(built.side_ops) == [7, 8, 10, 12, 13, 14, 18, 19]
+
+    def test_ops_round_trip(self):
+        builder, ops = self.every_form()
+        assert builder.ops() == ops
+        assert len(builder) == len(ops)
+        assert _columns(ThreadProgram(builder.ops())) == _columns(builder.build())
+
+    def test_appending_after_build_leaves_the_program_unchanged(self):
+        builder, __ = self.every_form()
+        built = builder.build()
+        before = _columns(built)
+        before_ops = list(built)
+        builder.load(0x70).store(0x78, 1.5).compute(4).fence()
+        assert _columns(built) == before
+        assert list(built) == before_ops
+        assert len(builder.build()) == len(built) + 4
+
+    def test_profile_generation_builds_no_op_objects(self, monkeypatch):
+        """Loads, compute bursts and stores go straight into the columns.
+
+        Constructing a Load, Compute or Store anywhere (the classes
+        ``workloads.program`` and ``workloads.synthetic`` would look up
+        included) raises while an app with locks and barriers generates.
+        """
+        from repro.harness.runner import generate_app_workload
+        from repro.params import bsc_dypvt
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__} op")
+
+        for cls in (Load, Compute, Store):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        config = bsc_dypvt(seed=0)
+        # radiosity takes a lock every 10 intervals and has 2 barrier
+        # phases, so 10 intervals reach every op the generator emits.
+        workload = generate_app_workload.__wrapped__(
+            "radiosity", config.num_processors, config.memory.words_per_line,
+            config.num_directories, 10_000, 0,
+        )
+        program = workload.programs[0]
+        assert {type(op) for op in program.side_ops.values()} == {
+            LockAcquire, Barrier,
+        }
+        assert {K_LOAD, K_STORE, K_COMPUTE, K_RELEASE} <= set(program.kinds)
+        assert any(v is not None and v[0] == V_REGPLUS for v in program.vspecs)

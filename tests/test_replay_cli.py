@@ -113,6 +113,46 @@ class TestMalformedDenials:
         assert out == ""
 
 
+class TestMalformedCrashes:
+    """A ``crashes`` header that is not a list of crash spellings
+    ``CrashPoint.parse`` accepts is an invalid trace, not a crash."""
+
+    @pytest.fixture(scope="class")
+    def crash_trace_lines(self, tmp_path_factory):
+        from repro.campaign.spec import FaultVariant
+        from repro.replay.recorder import record_run, replay_cell
+        from repro.replay.schema import write_trace
+        from repro.replay.workload import litmus_spec
+
+        path = tmp_path_factory.mktemp("crashes") / "mp.jsonl"
+        cell = replay_cell(
+            litmus_spec("MP", (1, 60)),
+            fault=FaultVariant(crashes=("grant:1:arbiter0",)),
+        )
+        write_trace(record_run(cell).trace, str(path))
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "crashes",
+        [5, [["grant", 1]], ["bogus:1"], ["grant:0:arbiter0"]],
+        ids=["not-a-list", "not-a-spelling", "unknown-point", "zero-occurrence"],
+    )
+    def test_malformed_crashes_is_usage_error(
+        self, crashes, crash_trace_lines, tmp_path, capsys
+    ):
+        header = json.loads(crash_trace_lines[0])
+        assert header["crashes"] == ["grant:1:arbiter0"]
+        header["crashes"] = crashes
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            "\n".join([json.dumps(header)] + crash_trace_lines[1:]) + "\n"
+        )
+        code, out, err = run_cli(capsys, "replay", "run", str(bad))
+        assert code == 2
+        assert "invalid trace" in err and "crashes" in err
+        assert out == ""
+
+
 class TestExploreCli:
     def test_quick_explore_clean(self, capsys):
         code, out, __ = run_cli(
