@@ -44,19 +44,12 @@ class ExpansionOutcome:
 class DirBDM:
     """Bulk disambiguation support attached to one directory module."""
 
-    #: Logical set count of the directory structure, used by decode (δ).
-    #: The paper notes the directory uses a different δ than the caches
-    #: because its geometry differs.
     def __init__(
         self,
         directory: DirectoryModule,
-        directory_sets: int = 4096,
         stats: Optional[StatsRegistry] = None,
     ):
-        if directory_sets & (directory_sets - 1):
-            raise ValueError("directory_sets must be a power of two")
         self.directory = directory
-        self.directory_sets = directory_sets
         self.stats = stats if stats is not None else StatsRegistry("dirbdm")
         # Active read-disables: commit id -> W signature still being made
         # visible.  Incoming reads are membership-tested against each.
@@ -86,12 +79,14 @@ class DirBDM:
         """
         outcome = ExpansionOutcome()
         truth = true_written_lines if true_written_lines is not None else set()
-        candidate_sets = w_signature.decode_sets(self.directory_sets)
+        # Decode (δ) into the directory's own set geometry: the paper notes
+        # the directory uses a different δ than the caches.
+        directory = self.directory
+        num_sets = directory.INDEX_SETS
+        candidate_sets = w_signature.decode_sets(num_sets)
         if not candidate_sets:
             return outcome
-        entries = list(
-            self.directory.entries_in_sets(candidate_sets, self.directory_sets)
-        )
+        entries = directory.entries_in_sets(candidate_sets, num_sets)
         hits = w_signature.member_many([entry.line_addr for entry in entries])
         for entry, hit in zip(entries, hits):
             if not hit:

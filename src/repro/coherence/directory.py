@@ -11,9 +11,10 @@ and triggers the displacement protocol of Section 4.3.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.errors import ProtocolError
+from repro.signatures.base import set_indices
 
 
 @dataclass(slots=True)
@@ -51,8 +52,8 @@ class DirectoryModule:
     work the hardware's set-indexed lookup does.
     """
 
-    #: Logical set count used for expansion bucketing; must match the
-    #: DirBDM's ``directory_sets``.
+    #: Logical set count used for expansion bucketing; the DirBDM
+    #: decodes (δ) into this geometry.
     INDEX_SETS = 4096
 
     def __init__(self, index: int, num_processors: int):
@@ -60,6 +61,8 @@ class DirectoryModule:
         self.num_processors = num_processors
         self._entries: Dict[int, DirectoryEntry] = {}
         self._buckets: Dict[int, List[DirectoryEntry]] = {}
+        #: Bit ``s`` is set iff ``_buckets`` holds a (non-empty) bucket s.
+        self._occupied = 0
         self.lookups = 0
         self.allocations = 0
 
@@ -78,6 +81,7 @@ class DirectoryModule:
             bucket = self._buckets.get(index)
             if bucket is None:
                 bucket = self._buckets[index] = []
+                self._occupied |= 1 << index
             bucket.append(entry)
         return entry
 
@@ -88,12 +92,12 @@ class DirectoryModule:
     def drop(self, line_addr: int) -> Optional[DirectoryEntry]:
         entry = self._entries.pop(line_addr, None)
         if entry is not None:
-            bucket = self._buckets.get(self._bucket_of(line_addr))
-            if bucket is not None:
-                try:
-                    bucket.remove(entry)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
+            index = self._bucket_of(line_addr)
+            bucket = self._buckets[index]
+            bucket.remove(entry)
+            if not bucket:
+                del self._buckets[index]
+                self._occupied ^= 1 << index
         return entry
 
     def entries(self) -> Iterator[DirectoryEntry]:
@@ -102,27 +106,32 @@ class DirectoryModule:
     def entry_count(self) -> int:
         return len(self._entries)
 
-    def entries_in_sets(
-        self, set_indices: Iterable[int], num_sets: int
-    ) -> List[DirectoryEntry]:
-        """Entries whose line address falls in the given structure sets.
+    def entries_in_sets(self, set_bitmap: int, num_sets: int) -> List[DirectoryEntry]:
+        """Entries whose line address falls in the sets of a δ bitmap.
 
         This is the lookup pattern produced by signature expansion: decode
-        (δ) yields candidate sets, then the module examines the entries in
-        those sets.  The fast path serves the DirBDM's native geometry
-        from the set buckets; other geometries fall back to a scan.
+        (δ) yields the candidate sets' bitmap (bit ``s`` for set ``s`` of
+        a ``num_sets``-set structure), then the module examines the
+        entries in those sets.  The DirBDM's native geometry walks the
+        occupied buckets the bitmap names, in ascending set order and
+        insertion order within a set; other geometries scan every entry
+        in insertion order.
         """
-        wanted = set(set_indices)
         if num_sets == self.INDEX_SETS:
+            buckets = self._buckets
             out: List[DirectoryEntry] = []
-            for set_index in sorted(wanted):
-                out.extend(self._buckets.get(set_index, ()))
+            for set_index in set_indices(set_bitmap & self._occupied):
+                out.extend(buckets[set_index])
             return out
+        return self._scan_sets(set_bitmap, num_sets)
+
+    def _scan_sets(self, set_bitmap: int, num_sets: int) -> List[DirectoryEntry]:
+        """Every entry in the bitmap's sets, in insertion order."""
         mask = num_sets - 1
         return [
             entry
             for addr, entry in self._entries.items()
-            if (addr & mask) in wanted
+            if set_bitmap >> (addr & mask) & 1
         ]
 
     # -- coherence transitions ---------------------------------------------

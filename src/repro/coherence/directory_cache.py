@@ -15,7 +15,7 @@ supplied by the owning system via ``on_displace``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.coherence.directory import DirectoryEntry, DirectoryModule
 
@@ -91,18 +91,10 @@ class DirectoryCache(DirectoryModule):
             )
         return entry
 
-    def entries_in_sets(
-        self, set_indices: Iterable[int], num_sets: int
-    ) -> List[DirectoryEntry]:
-        # The directory cache's own geometry defines its decode function
-        # (the paper notes δ differs between caches and directories).
-        wanted = set(set_indices)
-        mask = num_sets - 1
-        return [
-            entry
-            for addr, entry in self._entries.items()
-            if (addr & mask) in wanted
-        ]
+    def entries_in_sets(self, set_bitmap: int, num_sets: int) -> List[DirectoryEntry]:
+        # Insertion order at every geometry: expansion selects only
+        # entries that exist (Section 4.3.3).
+        return self._scan_sets(set_bitmap, num_sets)
 
     def entries(self) -> Iterator[DirectoryEntry]:
         return iter(list(self._entries.values()))

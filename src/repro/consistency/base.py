@@ -89,7 +89,7 @@ class BaselineDriver(ProcessorDriver):
         thread = self.thread
         registers = thread.registers
         window = self.window
-        ring = window.ring
+        ring_times, ring_counts = window.ring_times, window.ring_counts
         iwindow = window.config.instruction_window
         per_instr = window.per_instruction
         l1_rt = window.l1_round_trip
@@ -121,10 +121,12 @@ class BaselineDriver(ProcessorDriver):
             if kind == k_compute:
                 count = argv[pc]
                 cursor += count * per_instr
-                ring.append((cursor, count))
+                ring_times.append(cursor)
+                ring_counts.append(count)
                 win_instr += count
-                while ring and win_instr - ring[0][1] >= iwindow:
-                    win_instr -= ring.popleft()[1]
+                while ring_counts and win_instr - ring_counts[0] >= iwindow:
+                    ring_times.popleft()
+                    win_instr -= ring_counts.popleft()
                 retired += count
                 pc += 1
                 if cursor >= batch_end:
@@ -152,10 +154,9 @@ class BaselineDriver(ProcessorDriver):
                     if at_decode:
                         completion = l1_rt
                         if win_instr >= iwindow:
-                            oldest_time, oldest_count = ring[0]
                             decoded = (
-                                oldest_time
-                                - (iwindow - (win_instr - oldest_count)) * per_instr
+                                ring_times[0]
+                                - (iwindow - (win_instr - ring_counts[0])) * per_instr
                             )
                             if decoded > 0.0:
                                 completion += decoded
@@ -164,10 +165,12 @@ class BaselineDriver(ProcessorDriver):
                     cursor += per_instr
                     if completion > cursor:
                         cursor = completion
-                    ring.append((cursor, 1))
+                    ring_times.append(cursor)
+                    ring_counts.append(1)
                     win_instr += 1
-                    while ring and win_instr - ring[0][1] >= iwindow:
-                        win_instr -= ring.popleft()[1]
+                    while ring_counts and win_instr - ring_counts[0] >= iwindow:
+                        ring_times.popleft()
+                        win_instr -= ring_counts.popleft()
                     if park is not None:
                         park(line, cursor)
                     value = mem_words.get(addr, 0)

@@ -25,7 +25,7 @@ from repro.core.chunk import Chunk
 from repro.core.private_data import PrivateBuffer
 from repro.engine.stats import StatsRegistry
 from repro.memory.cache import SetAssocCache
-from repro.signatures.base import Signature, collides
+from repro.signatures.base import Signature, collides, set_indices
 from repro.signatures.factory import SignatureFactory
 
 
@@ -108,10 +108,10 @@ class BDM:
         but not in the true address set) — the paper's "Extra Cache Invs".
         """
         truth = set(true_lines) if true_lines is not None else None
-        candidate_sets = signature.decode_sets(self.cache.num_sets)
+        cache = self.cache
         candidates: List[int] = []
-        for set_index in candidate_sets:
-            for line in self.cache.lines_in_set(set_index):
+        for set_index in set_indices(signature.decode_sets(cache.num_sets)):
+            for line in cache.lines_in_set(set_index):
                 candidates.append(line.line_addr)
         to_invalidate = signature.filter_members(candidates)
         unnecessary = 0

@@ -487,7 +487,7 @@ class BulkSCDriver(ProcessorDriver):
         thread = self.thread
         registers = thread.registers
         window = self.window
-        win_deque = window.ring
+        ring_times, ring_counts = window.ring_times, window.ring_counts
         iwindow = window.config.instruction_window
         per_instr = window.per_instruction
         l1_rt = window.l1_round_trip
@@ -536,10 +536,12 @@ class BulkSCDriver(ProcessorDriver):
             if kind == k_compute:
                 count = argv[pc]
                 cursor += count * per_instr
-                win_deque.append((cursor, count))
+                ring_times.append(cursor)
+                ring_counts.append(count)
                 win_instr += count
-                while win_deque and win_instr - win_deque[0][1] >= iwindow:
-                    win_instr -= win_deque.popleft()[1]
+                while ring_counts and win_instr - ring_counts[0] >= iwindow:
+                    ring_times.popleft()
+                    win_instr -= ring_counts.popleft()
                 chunk_instr += count
                 retired += count
                 pc += 1
@@ -671,19 +673,20 @@ class BulkSCDriver(ProcessorDriver):
                     # path, decode_time in its O(1) oldest-entry form).
                     completion = l1_rt
                     if win_instr >= iwindow:
-                        oldest_time, oldest_count = win_deque[0]
                         decoded = (
-                            oldest_time
-                            - (iwindow - (win_instr - oldest_count)) * per_instr
+                            ring_times[0]
+                            - (iwindow - (win_instr - ring_counts[0])) * per_instr
                         )
                         if decoded > 0.0:
                             completion += decoded
                     if completion > cursor:
                         cursor = completion
-                win_deque.append((cursor, 1))
+                ring_times.append(cursor)
+                ring_counts.append(1)
                 win_instr += 1
-                while win_deque and win_instr - win_deque[0][1] >= iwindow:
-                    win_instr -= win_deque.popleft()[1]
+                while ring_counts and win_instr - ring_counts[0] >= iwindow:
+                    ring_times.popleft()
+                    win_instr -= ring_counts.popleft()
                 if not memo:
                     if is_load:
                         rd_ok[line] = cl

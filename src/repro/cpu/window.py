@@ -37,15 +37,18 @@ class RetirementWindow:
         self.mshr = mshr
         # The run loops (``repro.consistency.base`` and
         # ``repro.core.driver``) hold ``retire_cursor`` and
-        # ``ring_instructions`` in locals and update ``ring`` in place with
+        # ``ring_instructions`` in locals and update the ring in place with
         # exactly the arithmetic of :meth:`retire_compute` / :meth:`_push`,
         # writing both counters back before any call into this object.
         self.retire_cursor = 0.0
         self.per_instruction = 1.0 / config.commit_width
         self.l1_round_trip = 2.0  # refined by set_l1_round_trip()
         #: Ring of the retirement times of the last `instruction_window`
-        #: dynamic instructions, coarsened to one entry per micro-op.
-        self.ring: Deque[tuple] = deque()  # (retire_time, instr_count)
+        #: dynamic instructions, coarsened to one entry per micro-op and
+        #: held as two parallel columns (no tuple per retired op):
+        #: ``ring_times[i]`` retired ``ring_counts[i]`` instructions.
+        self.ring_times: Deque[float] = deque()
+        self.ring_counts: Deque[int] = deque()
         #: Instructions the ring covers.
         self.ring_instructions = 0
 
@@ -66,20 +69,18 @@ class RetirementWindow:
         # oldest entry* always holds fewer than ``need`` instructions —
         # the op ``need`` back therefore always falls in the oldest
         # entry, making this O(1) rather than a walk.
-        retire_time, count = self.ring[0]
-        into_entry = need - (self.ring_instructions - count)
-        return max(0.0, retire_time - into_entry * self.per_instruction)
+        into_entry = need - (self.ring_instructions - self.ring_counts[0])
+        return max(0.0, self.ring_times[0] - into_entry * self.per_instruction)
 
     def _push(self, retire_time: float, instructions: int) -> None:
-        self.ring.append((retire_time, instructions))
+        times, counts = self.ring_times, self.ring_counts
+        times.append(retire_time)
+        counts.append(instructions)
         self.ring_instructions += instructions
-        while (
-            self.ring
-            and self.ring_instructions - self.ring[0][1]
-            >= self.config.instruction_window
-        ):
-            __, count = self.ring.popleft()
-            self.ring_instructions -= count
+        window = self.config.instruction_window
+        while counts and self.ring_instructions - counts[0] >= window:
+            times.popleft()
+            self.ring_instructions -= counts.popleft()
 
     # ------------------------------------------------------------------
     def retire_compute(self, instructions: int) -> float:

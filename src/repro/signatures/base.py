@@ -8,7 +8,7 @@ truth lives in the chunks' ``true_*_lines`` sets, not in the signatures.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Set
+from typing import Iterable, List
 
 
 class Signature(ABC):
@@ -74,12 +74,13 @@ class Signature(ABC):
         """Membership test (∈); may report false positives."""
 
     @abstractmethod
-    def decode_sets(self, num_sets: int) -> Set[int]:
-        """Decode (δ) into the cache-set indices that could hold members.
+    def decode_sets(self, num_sets: int) -> int:
+        """Decode (δ) into a bitmap of the cache sets that could hold members.
 
+        Bit ``s`` of the result is set iff set ``s`` is a candidate.
         Enables *signature expansion*: finding all lines in a cache (or
         directory) that may belong to the signature without traversing the
-        whole structure.
+        whole structure; :func:`set_indices` walks the bitmap.
         """
 
     # -- fast predicates (allocation-free disambiguation) --------------------
@@ -93,6 +94,19 @@ class Signature(ABC):
         by the BDM, the arbiter, and the DirBDM admission checks.
         """
         return self.intersect(other).is_empty()
+
+
+def set_indices(set_bitmap: int) -> List[int]:
+    """The set indices of a δ bitmap, lowest first."""
+    # Scanning the binary digits, least significant first, is one C-level
+    # pass; peeling bits off a 4096-bit int copies it once per bit.
+    digits = bin(set_bitmap)[:1:-1]
+    out: List[int] = []
+    index = digits.find("1")
+    while index >= 0:
+        out.append(index)
+        index = digits.find("1", index + 1)
+    return out
 
 
 def collides(w_commit: Signature, r_local: Signature, w_local: Signature) -> bool:

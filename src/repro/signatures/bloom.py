@@ -20,9 +20,10 @@ A bank with *no* bits set proves the encoded set is empty, so the
 emptiness test after an intersection is "any bank is all-zero" — the
 same circuit the BDM uses.
 
-Decode (δ) reconstructs candidate cache sets by projecting each bank's
-set bit positions onto the address bits that form the cache index and
-intersecting the per-bank constraints — without touching the cache.
+Decode (δ) reconstructs candidate cache sets as a bitmap, without
+touching the cache: each bank constrains the set-index bits its
+address bits cover, so δ ORs, per bank, the precomputed bitmaps of the
+sets each observed bank value allows, and ANDs the banks.
 
 Representation
 --------------
@@ -44,7 +45,7 @@ truth (Tables 3-4) is the chunks' ``true_*_lines`` sets.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.signatures.base import Signature
 
@@ -112,6 +113,44 @@ class IndexCache:
 #: Memoized per-geometry hash results:
 #: (num_banks, index_bits, line) -> packed insert mask.
 INDEX_CACHE = IndexCache()
+
+#: A bank's δ table: (bank offset in the packed word, number of values
+#: the bank can report, value -> bitmap of the sets that value allows).
+_BankTable = Tuple[int, int, List[int]]
+
+#: δ tables per (num_banks, index_bits, set_bits) geometry.
+_DECODE_TABLES: Dict[Tuple[int, int, int], List[_BankTable]] = {}
+
+
+def _decode_tables(num_banks: int, index_bits: int, set_bits: int) -> List[_BankTable]:
+    """The δ table of every bank that covers a set-index bit.
+
+    Bank *i* holds address bits ``i, i+B, i+2B, ...`` at its index bits
+    ``0, 1, 2, ...``, so the set-index bits it covers read, in a bank
+    index, as that index's low bits.  A bank value ``v`` allows exactly
+    the sets whose covered bits spell ``v``: the sets with those bits
+    clear, shifted by ``v`` scattered onto them.
+    """
+    key = (num_banks, index_bits, set_bits)
+    tables = _DECODE_TABLES.get(key)
+    if tables is None:
+        bits_per_bank = 1 << index_bits
+        tables = []
+        for bank in range(min(num_banks, set_bits)):
+            positions = range(bank, set_bits, num_banks)
+            covered = sum(1 << b for b in positions)
+            clear = sum(1 << s for s in range(1 << set_bits) if not s & covered)
+            values = min(1 << len(positions), bits_per_bank)
+            tables.append((
+                bank * bits_per_bank,
+                values,
+                [
+                    clear << sum(((v >> j) & 1) << b for j, b in enumerate(positions))
+                    for v in range(values)
+                ],
+            ))
+        _DECODE_TABLES[key] = tables
+    return tables
 
 
 class BloomSignature(Signature):
@@ -286,50 +325,39 @@ class BloomSignature(Signature):
         return (self.bits & mask) == mask
 
     # -- decode (δ) --------------------------------------------------------------
-    def decode_sets(self, num_sets: int) -> Set[int]:
-        """Candidate cache sets, reconstructed from the bank bit-fields.
+    def decode_sets(self, num_sets: int) -> int:
+        """Bitmap of the candidate cache sets, from the bank bit-fields.
 
         The cache set index is the low ``log2(num_sets)`` line-address
-        bits.  Bank *i* constrains the address bits ``i, i+B, ...``; each
-        set-index bit therefore belongs to exactly one bank, so the
-        candidates are the cartesian product of every bank's observed
-        projections, scattered back onto the set-index bits — no scan of
-        the ``num_sets`` space.
+        bits, and each of them belongs to exactly one bank.  A bank's
+        bit array folds onto the values its covered bits can take; the
+        bank allows the OR of those values' set bitmaps, and the
+        candidates are the AND over the banks — no scan of the
+        ``num_sets`` space and no product of per-bank candidates.
         """
         if self.is_empty():
-            return set()
+            return 0
         set_bits = num_sets.bit_length() - 1
         if set_bits == 0:
-            return {0}
-        banks = self.num_banks
-        candidates: List[int] = [0]
-        for bank in range(banks):
-            # Set-index bit positions covered by this bank: address bit
-            # b = bank + B*j with b < set_bits; within the bank's index,
-            # that address bit is index bit j.
-            positions = [
-                (b, (b - bank) // banks) for b in range(bank, set_bits, banks)
-            ]
-            if not positions:
-                continue
-            # Scatter each observed bank index onto the set-index bits the
-            # bank covers; distinct indices can project onto the same value.
-            projections: Set[int] = set()
-            bits = self.bank_bits(bank)
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                index = low.bit_length() - 1
-                value = 0
-                for b, j in positions:
-                    value |= ((index >> j) & 1) << b
-                projections.add(value)
-            if not projections:
-                return set()
-            candidates = [
-                base | value for base in candidates for value in sorted(projections)
-            ]
-        return set(candidates)
+            return 1
+        bits = self.bits
+        bank_mask = self._bank_mask
+        candidates = -1
+        for offset, values, table in _decode_tables(
+            self.num_banks, self._index_bits, set_bits
+        ):
+            seen = (bits >> offset) & bank_mask
+            width = self.bits_per_bank
+            while width > values:
+                width >>= 1
+                seen = (seen & ((1 << width) - 1)) | (seen >> width)
+            allowed = 0
+            while seen:
+                low = seen & -seen
+                allowed |= table[low.bit_length() - 1]
+                seen ^= low
+            candidates &= allowed
+        return candidates
 
     # -- introspection -----------------------------------------------------------
     def popcount(self) -> int:

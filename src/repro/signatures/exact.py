@@ -65,9 +65,12 @@ class ExactSignature(Signature):
     def member(self, line_addr: int) -> bool:
         return line_addr in self._members
 
-    def decode_sets(self, num_sets: int) -> Set[int]:
+    def decode_sets(self, num_sets: int) -> int:
         mask = num_sets - 1
-        return {addr & mask for addr in self._members}
+        candidates = 0
+        for addr in self._members:
+            candidates |= 1 << (addr & mask)
+        return candidates
 
     # -- introspection -----------------------------------------------------------
     def exact_members(self) -> FrozenSet[int]:

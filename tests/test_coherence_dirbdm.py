@@ -14,7 +14,7 @@ def directory():
 
 @pytest.fixture
 def dirbdm(directory):
-    return DirBDM(directory, directory_sets=4096)
+    return DirBDM(directory)
 
 
 def w_sig(*lines):
@@ -142,8 +142,3 @@ class TestReadDisable:
         assert dirbdm.stats.snapshot() == before
         assert dirbdm.is_read_disabled(10)
         assert dirbdm.stats.snapshot() != before
-
-
-def test_directory_sets_must_be_power_of_two(directory):
-    with pytest.raises(ValueError):
-        DirBDM(directory, directory_sets=100)

@@ -66,7 +66,7 @@ def test_entries_in_sets_selects_by_low_bits():
     directory.entry(0x100)  # set 0 for 256 sets
     directory.entry(0x101)  # set 1
     directory.entry(0x201)  # set 1
-    selected = directory.entries_in_sets({1}, 256)
+    selected = directory.entries_in_sets(1 << 1, 256)
     assert {e.line_addr for e in selected} == {0x101, 0x201}
 
 

@@ -76,5 +76,5 @@ def test_entries_in_sets_uses_own_geometry():
     cache.entry(0)
     cache.entry(4)
     cache.entry(1)
-    selected = cache.entries_in_sets({0}, 4)
+    selected = cache.entries_in_sets(1 << 0, 4)
     assert {e.line_addr for e in selected} == {0, 4}

@@ -44,7 +44,7 @@ def test_union():
 def test_decode_sets_exact():
     sig = ExactSignature()
     sig.insert_many([0x101, 0x202])
-    assert sig.decode_sets(256) == {0x01, 0x02}
+    assert sig.decode_sets(256) == (1 << 0x01) | (1 << 0x02)
 
 
 def test_clear():
