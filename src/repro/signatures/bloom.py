@@ -49,10 +49,6 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.signatures.base import Signature
 
-#: Address bits covered by the bit-interleave before folding wraps around.
-_FOLD_BITS = 36
-
-
 class IndexCache:
     """A capped LRU of per-geometry address hash results.
 
@@ -129,7 +125,9 @@ def _decode_tables(num_banks: int, index_bits: int, set_bits: int) -> List[_Bank
     ``0, 1, 2, ...``, so the set-index bits it covers read, in a bank
     index, as that index's low bits.  A bank value ``v`` allows exactly
     the sets whose covered bits spell ``v``: the sets with those bits
-    clear, shifted by ``v`` scattered onto them.
+    clear, shifted by ``v`` scattered onto them.  A bank hashes only
+    ``index_bits`` address bits, so a set-index bit past them (or past
+    every bank) is covered by no bank and free.
     """
     key = (num_banks, index_bits, set_bits)
     tables = _DECODE_TABLES.get(key)
@@ -137,7 +135,7 @@ def _decode_tables(num_banks: int, index_bits: int, set_bits: int) -> List[_Bank
         bits_per_bank = 1 << index_bits
         tables = []
         for bank in range(min(num_banks, set_bits)):
-            positions = range(bank, set_bits, num_banks)
+            positions = range(bank, set_bits, num_banks)[:index_bits]
             covered = sum(1 << b for b in positions)
             clear = sum(1 << s for s in range(1 << set_bits) if not s & covered)
             values = min(1 << len(positions), bits_per_bank)
@@ -180,34 +178,25 @@ class BloomSignature(Signature):
         self.bits = 0
 
     # -- hashing ---------------------------------------------------------
-    def _fold(self, line_addr: int) -> int:
-        """Fold addresses wider than the interleave back into range."""
-        folded = line_addr & ((1 << _FOLD_BITS) - 1)
-        extra = line_addr >> _FOLD_BITS
-        while extra:
-            folded ^= extra & ((1 << _FOLD_BITS) - 1)
-            extra >>= _FOLD_BITS
-        return folded
-
     def mask_of(self, line_addr: int) -> int:
         """Packed insert mask of one address (one bit per bank), memoized.
 
         ``sig.bits |= mask`` inserts the address and ``(sig.bits & mask)
         == mask`` is its membership test; the mask depends only on the
-        geometry, so callers may memoize it per address.
+        geometry, so callers may memoize it per address.  Address bits
+        past the first ``num_banks * index_bits`` are not hashed.
         """
         key = (self.num_banks, self._index_bits, line_addr)
         mask = INDEX_CACHE.get(key)
         if mask is not None:
             return mask
-        addr = self._fold(line_addr)
         banks = self.num_banks
         bpb = self.bits_per_bank
         mask = 0
         for bank in range(banks):
             index = 0
             for j in range(self._index_bits):
-                index |= ((addr >> (bank + banks * j)) & 1) << j
+                index |= ((line_addr >> (bank + banks * j)) & 1) << j
             mask |= 1 << (bank * bpb + index)
         INDEX_CACHE.put(key, mask)
         return mask

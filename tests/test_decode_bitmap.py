@@ -2,8 +2,9 @@
 
 ``decode_sets`` returns an int whose bit ``s`` marks candidate set ``s``.
 The Bloom decoder must name exactly the sets the per-bank cartesian
-product named before it (kept below as :func:`reference_decode`, the
-only copy of that algorithm), and the directory walks must keep the
+product names (kept below as :func:`reference_decode`, the only copy of
+that algorithm, with set-index bits that no bank hashes left free), so
+it names every inserted line's set, and the directory walks must keep the
 orders signature expansion has always produced: ascending set index,
 then insertion order, for a full-map directory; insertion order for a
 directory cache.  Both orders reach the simulated event order.
@@ -22,18 +23,27 @@ from repro.signatures.exact import ExactSignature
 
 
 def reference_decode(sig: BloomSignature, num_sets: int) -> Set[int]:
-    """The cartesian product of every bank's projections (the old δ)."""
+    """The cartesian product of every bank's projections (the old δ).
+
+    A bank hashes only its first ``index_bits`` interleaved address bits,
+    so set-index bits past them, which no bank covers, take both values.
+    """
     if sig.is_empty():
         return set()
     set_bits = num_sets.bit_length() - 1
     if set_bits == 0:
         return {0}
     banks = sig.num_banks
+    index_bits = sig.bits_per_bank.bit_length() - 1
     candidates: List[int] = [0]
+    covered = 0
     for bank in range(banks):
-        positions = [(b, (b - bank) // banks) for b in range(bank, set_bits, banks)]
+        positions = [
+            (b, (b - bank) // banks) for b in range(bank, set_bits, banks)
+        ][:index_bits]
         if not positions:
             continue
+        covered |= sum(1 << b for b, __ in positions)
         projections: Set[int] = set()
         bits = sig.bank_bits(bank)
         while bits:
@@ -47,6 +57,9 @@ def reference_decode(sig: BloomSignature, num_sets: int) -> Set[int]:
         if not projections:
             return set()
         candidates = [base | value for base in candidates for value in projections]
+    for b in range(set_bits):
+        if not covered >> b & 1:
+            candidates += [base | 1 << b for base in candidates]
     return set(candidates)
 
 
@@ -74,6 +87,31 @@ def bloom(geometry, addrs) -> BloomSignature:
 def test_bloom_bitmap_matches_cartesian_product(geometry, addrs, num_sets):
     sig = bloom(geometry, addrs)
     assert sig.decode_sets(num_sets) == bitmap_of(reference_decode(sig, num_sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometries, addresses, set_counts)
+def test_bloom_decode_names_every_inserted_line_set(geometry, addrs, num_sets):
+    """δ is a superset decode: no member's set is ever missing."""
+    sig = bloom(geometry, addrs)
+    candidates = sig.decode_sets(num_sets)
+    for addr in addrs:
+        assert candidates >> (addr & (num_sets - 1)) & 1
+
+
+def test_bloom_decode_frees_set_bits_no_bank_hashes():
+    """One 8-bit bank hashes 3 address bits; set bit 3 must stay free."""
+    sig = BloomSignature(8, 1)
+    sig.insert(8)
+    assert sig.member(8)
+    assert sig.decode_sets(16) >> 8 & 1
+
+
+def test_bloom_decode_ignores_address_bits_past_the_hash():
+    """Bits past the hashed ones alias; they do not move the set."""
+    sig = BloomSignature(2048, 4)
+    sig.insert((1 << 36) | 5)
+    assert sig.decode_sets(4096) == 1 << 5
 
 
 @settings(max_examples=200, deadline=None)
