@@ -63,8 +63,6 @@ class DirectoryModule:
         self._buckets: Dict[int, List[DirectoryEntry]] = {}
         #: Bit ``s`` is set iff ``_buckets`` holds a (non-empty) bucket s.
         self._occupied = 0
-        self.lookups = 0
-        self.allocations = 0
 
     def _bucket_of(self, line_addr: int) -> int:
         return line_addr & (self.INDEX_SETS - 1)
@@ -72,10 +70,8 @@ class DirectoryModule:
     # -- storage ------------------------------------------------------------
     def entry(self, line_addr: int) -> DirectoryEntry:
         """Fetch-or-create the entry for ``line_addr``."""
-        self.lookups += 1
         entry = self._entries.get(line_addr)
         if entry is None:
-            self.allocations += 1
             entry = self._entries[line_addr] = DirectoryEntry(line_addr)
             index = self._bucket_of(line_addr)
             bucket = self._buckets.get(index)

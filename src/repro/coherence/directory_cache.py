@@ -52,7 +52,6 @@ class DirectoryCache(DirectoryModule):
     def entry(self, line_addr: int) -> DirectoryEntry:
         existing = self._entries.get(line_addr)
         if existing is not None:
-            self.lookups += 1
             self._touch(line_addr)
             return existing
         self._make_room(line_addr)

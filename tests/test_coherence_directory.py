@@ -11,7 +11,7 @@ def test_entry_created_lazily():
     assert directory.peek(5) is None
     entry = directory.entry(5)
     assert directory.peek(5) is entry
-    assert directory.allocations == 1
+    assert directory.entry_count() == 1
 
 
 def test_add_remove_sharer():
