@@ -13,7 +13,7 @@
 from repro.coherence.directory import DirectoryEntry, DirectoryModule
 from repro.coherence.directory_cache import DirectoryCache
 from repro.coherence.dirbdm import DirBDM, ExpansionOutcome
-from repro.coherence.protocol import AccessOutcome, CoherenceController
+from repro.coherence.protocol import CoherenceController
 
 __all__ = [
     "DirectoryEntry",
@@ -21,6 +21,5 @@ __all__ = [
     "DirectoryCache",
     "DirBDM",
     "ExpansionOutcome",
-    "AccessOutcome",
     "CoherenceController",
 ]

@@ -16,12 +16,16 @@ itself, through ``SetAssocCache.lookup``.  BulkSC uses
 :meth:`fetch_for_chunk`, which is always a *read* request — even for a
 write miss — because writes gain visibility only at chunk commit (paper
 Section 4.3).
+
+Every access returns plain numbers: its latency in cycles (and, for
+:meth:`write`, the invalidation part of it).  Where the line came from is
+counted in ``coherence.fill.<level>``, and a fill that found its L1 set
+full of pinned lines in ``coherence.l1_set_overflows``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.directory import DirectoryEntry, DirectoryModule
 from repro.coherence.directory_cache import DirectoryCache
@@ -32,19 +36,6 @@ from repro.memory.address import AddressMap
 from repro.memory.cache import LineState, SetAssocCache
 from repro.memory.mshr import MshrFile
 from repro.params import SystemConfig
-
-
-@dataclass(slots=True)
-class AccessOutcome:
-    """Result of one demand access."""
-
-    latency: float
-    level: str  # "l1" | "l2" | "remote" | "mem"
-    inserted: bool = True  # False => L1 set overflow (pinned lines)
-    #: Portion of the latency that is invalidation/acknowledgement work —
-    #: the part an SC store cannot hide behind an exclusive prefetch,
-    #: because making the write globally visible must wait for retirement.
-    inv_latency: float = 0.0
 
 
 class CoherenceController:
@@ -114,6 +105,9 @@ class CoherenceController:
         # only ever contains levels that actually fired (same keys the
         # f-string bump produced, minus the per-miss formatting).
         self._fill_counters: Dict[str, Counter] = {}
+        # The invalidation part of the last exclusive fill's latency,
+        # which :meth:`write` returns beside the latency.
+        self._inv_latency = 0.0
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -130,18 +124,26 @@ class CoherenceController:
     # ------------------------------------------------------------------
     # Demand reads (all models)
     # ------------------------------------------------------------------
-    def read(self, proc: int, line_addr: int, now: float) -> AccessOutcome:
-        """A demand read: fetch the line into ``proc``'s L1 shared."""
-        l1 = self.l1s[proc]
-        if l1.lookup(line_addr) is not None:
-            return AccessOutcome(self._l1_rt, "l1")
-        return self._fill_from_hierarchy(proc, line_addr, now, exclusive=False)
+    def read(self, proc: int, line_addr: int) -> float:
+        """A demand read: fetch the line into ``proc``'s L1 shared.
+
+        Returns the latency.
+        """
+        if self.l1s[proc].lookup(line_addr) is not None:
+            return self._l1_rt
+        return self._fill_from_hierarchy(proc, line_addr, False)
 
     # ------------------------------------------------------------------
     # Demand writes (baselines: MESI exclusivity)
     # ------------------------------------------------------------------
-    def write(self, proc: int, line_addr: int, now: float) -> AccessOutcome:
-        """A demand write under MESI: obtain the line in Modified state."""
+    def write(self, proc: int, line_addr: int) -> Tuple[float, float]:
+        """A demand write under MESI: obtain the line in Modified state.
+
+        Returns ``(latency, inv_latency)``.  ``inv_latency`` is the part
+        of the latency that is invalidation/acknowledgement work — the
+        part an SC store cannot hide behind an exclusive prefetch, because
+        making the write globally visible must wait for retirement.
+        """
         l1 = self.l1s[proc]
         line = l1.lookup(line_addr)
         directory = self.home_directory(line_addr)
@@ -149,16 +151,14 @@ class CoherenceController:
             if line.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
                 line.state = LineState.MODIFIED
                 directory.entry(line_addr).make_owner(proc)
-                return AccessOutcome(self._l1_rt, "l1")
+                return self._l1_rt, 0.0
             # Upgrade from Shared: invalidate the other sharers.
             inv_latency = self._invalidate_sharers(proc, line_addr, directory)
             line.state = LineState.MODIFIED
             directory.entry(line_addr).make_owner(proc)
-            return AccessOutcome(
-                self._l1_rt + inv_latency, "l1", inv_latency=inv_latency
-            )
-        outcome = self._fill_from_hierarchy(proc, line_addr, now, exclusive=True)
-        return outcome
+            return self._l1_rt + inv_latency, inv_latency
+        latency = self._fill_from_hierarchy(proc, line_addr, True)
+        return latency, self._inv_latency
 
     # ------------------------------------------------------------------
     # BulkSC fetch: misses are always read requests
@@ -167,10 +167,9 @@ class CoherenceController:
         self,
         proc: int,
         line_addr: int,
-        now: float,
         pinned: Optional[Callable[[int], bool]] = None,
         dir_index: Optional[int] = None,
-    ) -> AccessOutcome:
+    ) -> float:
         """Bring a line into ``proc``'s L1 for speculative chunk execution.
 
         The directory only ever records the requester as a *sharer*: the
@@ -178,14 +177,11 @@ class CoherenceController:
         as holding an updated copy (Section 4.3).  ``pinned`` protects
         speculatively-written lines from victimization; ``dir_index`` is
         the line's home directory, when the caller already resolved it.
+        Returns the latency.
         """
-        l1 = self.l1s[proc]
-        if l1.lookup(line_addr) is not None:
-            return AccessOutcome(self._l1_rt, "l1")
-        return self._fill_from_hierarchy(
-            proc, line_addr, now, exclusive=False, pinned=pinned,
-            dir_index=dir_index,
-        )
+        if self.l1s[proc].lookup(line_addr) is not None:
+            return self._l1_rt
+        return self._fill_from_hierarchy(proc, line_addr, False, pinned, dir_index)
 
     def would_overflow_l1(
         self, proc: int, line_addr: int, pinned: Callable[[int], bool]
@@ -201,11 +197,15 @@ class CoherenceController:
         self,
         proc: int,
         line_addr: int,
-        now: float,
         exclusive: bool,
         pinned: Optional[Callable[[int], bool]] = None,
         dir_index: Optional[int] = None,
-    ) -> AccessOutcome:
+    ) -> float:
+        """Fill an L1 miss from a dirty owner, the L2 or memory.
+
+        Returns the latency; an ``exclusive`` fill leaves its
+        invalidation part in ``_inv_latency``.
+        """
         if dir_index is None:
             dir_index = self.address_map.directory_of(line_addr)
         directory = self.directories[dir_index]
@@ -232,23 +232,24 @@ class CoherenceController:
             dir_node, proc_node, TrafficClass.RD_WR, self.line_bytes
         )
         latency = request_latency + supply_latency + response_latency
-        inv_latency = 0.0
         if exclusive:
-            inv_latency = self._invalidate_sharers(proc, line_addr, directory)
+            inv_latency = self._inv_latency = self._invalidate_sharers(
+                proc, line_addr, directory
+            )
             latency = max(latency, inv_latency)
             entry.make_owner(proc)
             new_state = LineState.MODIFIED
         else:
             entry.sharers.add(proc)
             new_state = LineState.SHARED
-        inserted = self._insert_l1(proc, line_addr, new_state, pinned)
+        self._insert_l1(proc, line_addr, new_state, pinned)
         counter = self._fill_counters.get(level)
         if counter is None:
             counter = self._fill_counters[level] = self.stats.counter(
                 f"coherence.fill.{level}"
             )
         counter.value += 1.0
-        return AccessOutcome(latency, level, inserted, inv_latency=inv_latency)
+        return latency
 
     def _fetch_from_owner(
         self,
@@ -321,17 +322,16 @@ class CoherenceController:
         line_addr: int,
         state: LineState,
         pinned: Optional[Callable[[int], bool]] = None,
-    ) -> bool:
+    ) -> None:
         result = self.l1s[proc].insert(line_addr, state, pinned)
         if not result.inserted:
             self.stats.bump("coherence.l1_set_overflows")
-            return False
+            return
         victim = result.victim
         if victim is not None:
             if self.eviction_observer is not None:
                 self.eviction_observer(proc, victim.line_addr)
             self._handle_l1_eviction(proc, victim.line_addr, victim.dirty)
-        return True
 
     def _handle_l1_eviction(self, proc: int, line_addr: int, dirty: bool) -> None:
         # Clean evictions are *silent* (as in MESI): the directory keeps

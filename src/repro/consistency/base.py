@@ -30,10 +30,10 @@ class BaselineDriver(ProcessorDriver):
     """The op-stream run loop and sync ops shared by SC / RC / SC++ / TSO.
 
     Each model supplies value-taking hooks for what it does differently:
-    :meth:`_load` (an access the loop cannot take as an inline L1 hit),
-    :meth:`_store`, :meth:`_fence` and :meth:`_before_sync_visibility`.
-    The attributes below let the loop take a load inline exactly when the
-    model's own path would charge it as a plain L1 hit.
+    :meth:`_load` (a load the loop cannot take inline), :meth:`_store`,
+    :meth:`_fence` and :meth:`_before_sync_visibility`.  The attributes
+    below let the loop take a load inline, hit or miss, exactly when the
+    model would charge it as a plain demand read.
     """
 
     model_name = "baseline"
@@ -72,12 +72,13 @@ class BaselineDriver(ProcessorDriver):
         """Run the op stream until the cursor passes ``batch_end``.
 
         ``pc``, ``retired``, the retirement cursor and the window ring are
-        held in locals.  Compute bursts and L1 load hits run inline with
-        :class:`~repro.cpu.window.RetirementWindow`'s arithmetic; stores,
-        fences, releases, load misses and loads the model must see
-        (forwarding, a full SHiQ, a prefetch refetch) call the model's
-        hooks with the cursor written back; sync ops go through
-        :meth:`execute_op`.
+        held in locals.  Compute bursts and plain loads run inline with
+        :class:`~repro.cpu.window.RetirementWindow`'s arithmetic: an L1 hit
+        through ``SetAssocCache.lookup``, a miss through one
+        :meth:`CoherenceController.read` call and an MSHR admission.
+        Stores, fences, releases and loads the model must see (forwarding,
+        a full SHiQ, a prefetch refetch) call the model's hooks with the
+        cursor written back; sync ops go through :meth:`execute_op`.
 
         No simulator event fires inside a batch (drains and wake-ups are
         later events), so nothing else mutates the cached state.
@@ -94,6 +95,7 @@ class BaselineDriver(ProcessorDriver):
         per_instr = window.per_instruction
         l1_rt = window.l1_round_trip
         l1_lookup = self._l1.lookup
+        read, mshr_admit = self.coherence.read, window.mshr.admit
         mem_words = self.memory.words
         history = self.history
         record = history.record if history.enabled else None
@@ -135,36 +137,38 @@ class BaselineDriver(ProcessorDriver):
             if kind == k_load:
                 addr = argv[pc]
                 line = linev[pc]
-                cl = None
                 if (
-                    not (buffer and forward(addr) is not None)
-                    and len(shiq) < shiq_capacity
-                    and line not in refetch
+                    (buffer and forward(addr) is not None)
+                    or len(shiq) >= shiq_capacity
+                    or line in refetch
                 ):
-                    cl = l1_lookup(line)
-                if cl is None:
                     window.retire_cursor = cursor
                     window.ring_instructions = win_instr
                     load(addr, line, regv[pc], pc)
                     cursor = window.retire_cursor
                     win_instr = window.ring_instructions
                 else:
-                    # Blocking retire at L1 latency: retire_memory's hit
-                    # path, decode_time in its O(1) oldest-entry form.
+                    # A blocking retire: retire_memory's arithmetic,
+                    # decode_time in its O(1) oldest-entry form, and an
+                    # MSHR entry for a miss.
+                    cl = l1_lookup(line)
+                    latency = l1_rt if cl is not None else read(proc, line)
                     if at_decode:
-                        completion = l1_rt
+                        start = 0.0
                         if win_instr >= iwindow:
-                            decoded = (
+                            start = (
                                 ring_times[0]
                                 - (iwindow - (win_instr - ring_counts[0])) * per_instr
                             )
-                            if decoded > 0.0:
-                                completion += decoded
+                            if start < 0.0:
+                                start = 0.0
                     else:
-                        completion = cursor + l1_rt
+                        start = cursor
+                    if latency > l1_rt:
+                        start = mshr_admit(line, latency, start)
                     cursor += per_instr
-                    if completion > cursor:
-                        cursor = completion
+                    if start + latency > cursor:
+                        cursor = start + latency
                     ring_times.append(cursor)
                     ring_counts.append(1)
                     win_instr += 1
@@ -230,7 +234,9 @@ class BaselineDriver(ProcessorDriver):
     # Hooks each model implements (the window holds the current cursor)
     # ------------------------------------------------------------------
     def _load(self, addr: int, line: int, reg: str, pc: int) -> None:
-        """A load the loop could not take as an inline L1 hit."""
+        """A load the loop could not take inline: it forwards from the
+        store buffer, meets a full SHiQ or refetches an invalidated
+        prefetch."""
         raise NotImplementedError
 
     def _store(self, addr: int, line: int, value: int, pc: int) -> None:
@@ -272,12 +278,12 @@ class BaselineDriver(ProcessorDriver):
                 callback=self._lock_retry,
             )
             return False
-        outcome = self.coherence.write(self.proc, line, self.now)
-        self.window.retire_memory(outcome.latency, blocking=True, instructions=2)
+        latency, __ = self.coherence.write(self.proc, line)
+        now = self.window.retire_memory(latency, blocking=True, instructions=2)
         self.memory.write(op.addr, 1)
-        self.history.record(self.now, self.proc, False, op.addr, 0, self.thread.pc)
-        self.history.record(self.now, self.proc, True, op.addr, 1, self.thread.pc)
-        self.machine.broadcast_write(self.proc, line, self.now)
+        self.history.record(now, self.proc, False, op.addr, 0, self.thread.pc)
+        self.history.record(now, self.proc, True, op.addr, 1, self.thread.pc)
+        self.machine.broadcast_write(self.proc, line, now)
         self.sync.notify_write(op.addr, 1)
         return True
 
@@ -289,11 +295,11 @@ class BaselineDriver(ProcessorDriver):
     def _handle_release(self, addr: int, line: int, pc: int) -> None:
         """A store of 0 with release semantics (``K_RELEASE``)."""
         self._before_sync_visibility()
-        outcome = self.coherence.write(self.proc, line, self.now)
-        self.window.retire_memory(outcome.latency, blocking=False)
+        latency, __ = self.coherence.write(self.proc, line)
+        now = self.window.retire_memory(latency, blocking=False)
         self.memory.write(addr, 0)
-        self.history.record(self.now, self.proc, True, addr, 0, pc)
-        self.machine.broadcast_write(self.proc, line, self.now)
+        self.history.record(now, self.proc, True, addr, 0, pc)
+        self.machine.broadcast_write(self.proc, line, now)
         self.sync.notify_write(addr, 0)
 
     def _handle_barrier(self, op: Barrier) -> bool:
@@ -311,9 +317,9 @@ class BaselineDriver(ProcessorDriver):
         line = self.address_map.line_of(op.addr)
         value = self.memory.read(op.addr)
         if value == op.value:
-            outcome = self.coherence.read(self.proc, line, self.now)
-            self.window.retire_memory(outcome.latency, blocking=True)
-            self.history.record(self.now, self.proc, False, op.addr, value, self.thread.pc)
+            latency = self.coherence.read(self.proc, line)
+            now = self.window.retire_memory(latency, blocking=True)
+            self.history.record(now, self.proc, False, op.addr, value, self.thread.pc)
             return True
         self.stats.bump(f"proc{self.proc}.flag_spins")
         self.sync.watch(

@@ -54,25 +54,19 @@ class RCDriver(BaselineDriver):
         self._buffer: Deque[_BufferedStore] = deque()
         self._capacity = machine.config.processor.store_queue_entries
         self._last_drain_time = 0.0
+        self._drain_label = f"proc{proc}.drain"
 
     # ------------------------------------------------------------------
-    # Loads: forward from the buffer, else read committed memory
+    # Loads: forward from the buffer (the run loop reads committed memory)
     # ------------------------------------------------------------------
     def _load(self, addr: int, line: int, reg: str, pc: int) -> None:
-        forwarded = self._forward(addr)
-        if forwarded is not None:
-            self.window.retire_memory(
-                self.coherence.config.memory.l1.round_trip_cycles, blocking=True
-            )
-            value = forwarded
-        else:
-            outcome = self.coherence.read(self.proc, line, self.now)
-            self.window.retire_memory(
-                outcome.latency, blocking=True, line_addr=line
-            )
-            value = self.memory.read(addr)
+        """A load that forwards from the store buffer."""
+        now = self.window.retire_memory(
+            self.coherence.config.memory.l1.round_trip_cycles, blocking=True
+        )
+        value = self._forward(addr)
         self.thread.write_register(reg, value)
-        self.history.record(self.now, self.proc, False, addr, value, pc)
+        self.history.record(now, self.proc, False, addr, value, pc)
 
     def _forward(self, word_addr: int) -> Optional[int]:
         """Most recent buffered store to ``word_addr``, if any."""
@@ -89,16 +83,16 @@ class RCDriver(BaselineDriver):
             # Buffer full: stall until an entry drains.
             earliest = min(e.drain_time for e in self._buffer)
             self.stats.bump(f"proc{self.proc}.store_buffer_stalls")
-            self.window.stall_until(earliest)
-            self._drain_ready(self.window.now)
+            self._drain_ready(self.window.stall_until(earliest))
         # The exclusive fetch happens in the background as the entry
         # drains; it is charged to traffic now, not to the critical path.
-        outcome = self.coherence.write(self.proc, line, self.now)
+        latency, __ = self.coherence.write(self.proc, line)
+        now = self.window.retire_cursor
         if self.fifo_drains:
             # TSO: drains retire in order; fetches still overlap, so a
             # later drain waits at most a transfer slot on its predecessor.
             drain_time = max(
-                self.now + outcome.latency,
+                now + latency,
                 self._last_drain_time + self.DRAIN_SLOT_CYCLES,
             )
             self._last_drain_time = drain_time
@@ -106,11 +100,11 @@ class RCDriver(BaselineDriver):
             # RC: a store becomes visible when its own coherence work
             # completes — a hit drains before an earlier miss (the
             # store-store reordering fences exist to tame).
-            drain_time = self.now + outcome.latency
+            drain_time = now + latency
         entry = _BufferedStore(addr, line, value, drain_time, pc)
         self._buffer.append(entry)
-        self.window.retire_memory(outcome.latency, blocking=False, line_addr=line)
-        self.sim.at(drain_time, self._drain_event, label=f"proc{self.proc}.drain")
+        self.window.retire_memory(latency, blocking=False, line_addr=line)
+        self.sim.at(drain_time, self._drain_event, label=self._drain_label)
 
     def _drain_event(self) -> None:
         self._drain_ready(self.sim.now)

@@ -37,9 +37,9 @@ class SCDriver(BaselineDriver):
 
     # ------------------------------------------------------------------
     def _load(self, addr: int, line: int, reg: str, pc: int) -> None:
-        outcome = self.coherence.read(self.proc, line, self.now)
-        latency = self._effective_latency(line, outcome.latency)
-        self.window.retire_memory(
+        """A load of a prefetched line that was invalidated: a refetch."""
+        latency = self._effective_latency(line, self.coherence.read(self.proc, line))
+        now = self.window.retire_memory(
             latency,
             blocking=True,
             fetch_at_decode=self._prefetching,
@@ -47,21 +47,20 @@ class SCDriver(BaselineDriver):
         )
         value = self.memory.read(addr)
         self.thread.write_register(reg, value)
-        self.history.record(self.now, self.proc, False, addr, value, pc)
+        self.history.record(now, self.proc, False, addr, value, pc)
 
     def _store(self, addr: int, line: int, value: int, pc: int) -> None:
-        outcome = self.coherence.write(self.proc, line, self.now)
-        latency = self._effective_latency(line, outcome.latency)
+        latency, exposed = self.coherence.write(self.proc, line)
+        latency = self._effective_latency(line, latency)
         # A store's *global visibility* work cannot be prefetched away:
         # invalidations start at retirement, and part of the fetch is
         # re-exposed when the prefetched line was stolen or the prefetch
         # launched late (requirement (i) of the straightforward SC
         # implementation, softened by [Gharachorloo'91]).
         l1_rt = self.coherence.config.memory.l1.round_trip_cycles
-        exposed = outcome.inv_latency
         if latency > l1_rt:
             exposed += self._store_exposure * (latency - l1_rt)
-        self.window.retire_memory(
+        now = self.window.retire_memory(
             latency,
             blocking=True,
             fetch_at_decode=self._prefetching,
@@ -69,8 +68,8 @@ class SCDriver(BaselineDriver):
             unhideable=exposed,
         )
         self.memory.write(addr, value)
-        self.history.record(self.now, self.proc, True, addr, value, pc)
-        self.machine.broadcast_write(self.proc, line, self.now)
+        self.history.record(now, self.proc, True, addr, value, pc)
+        self.machine.broadcast_write(self.proc, line, now)
         self.sync.notify_write(addr, value)
 
     # ------------------------------------------------------------------

@@ -77,26 +77,27 @@ class SCPPDriver(BaselineDriver):
 
     # ------------------------------------------------------------------
     def _load(self, addr: int, line: int, reg: str, pc: int) -> None:
+        """A load that meets a full SHiQ."""
         self._shiq_full_stall()
-        outcome = self.coherence.read(self.proc, line, self.now)
-        self.window.retire_memory(outcome.latency, blocking=True, line_addr=line)
-        self._park(line, self.now)
+        latency = self.coherence.read(self.proc, line)
+        now = self.window.retire_memory(latency, blocking=True, line_addr=line)
+        self._park(line, now)
         value = self.memory.read(addr)
         self.thread.write_register(reg, value)
-        self.history.record(self.now, self.proc, False, addr, value, pc)
+        self.history.record(now, self.proc, False, addr, value, pc)
 
     def _store(self, addr: int, line: int, value: int, pc: int) -> None:
         self._shiq_full_stall()
-        outcome = self.coherence.write(self.proc, line, self.now)
+        latency, __ = self.coherence.write(self.proc, line)
         # Wait-free store: retires into the SHiQ immediately.
-        self.window.retire_memory(outcome.latency, blocking=False, line_addr=line)
-        completion = self.now + outcome.latency
+        now = self.window.retire_memory(latency, blocking=False, line_addr=line)
+        completion = now + latency
         if completion > self._last_store_completion:
             self._last_store_completion = completion
-        self._park(line, self.now)
+        self._park(line, now)
         self.memory.write(addr, value)
-        self.history.record(self.now, self.proc, True, addr, value, pc)
-        self.machine.broadcast_write(self.proc, line, self.now)
+        self.history.record(now, self.proc, True, addr, value, pc)
+        self.machine.broadcast_write(self.proc, line, now)
         self.sync.notify_write(addr, value)
 
     # ------------------------------------------------------------------

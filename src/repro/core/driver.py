@@ -22,7 +22,6 @@ from collections import deque
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.coherence.directory import DirectoryModule
-from repro.coherence.protocol import AccessOutcome
 from repro.core.chunk import Chunk, ChunkState
 from repro.core.chunking import ChunkingPolicy
 from repro.cpu.checkpoint import Checkpoint
@@ -462,18 +461,22 @@ class BulkSCDriver(ProcessorDriver):
 
         One loop serves every BulkSC configuration, with each op kind
         implemented once.  Compute bursts, fences, memoized repeat
-        accesses and a line's first L1 hit in the chunk run inline, with
-        the hot thread/window/chunk counters held in locals and the L1
-        (``sets``, ``set_mask``, ``lru_clock``), memory ``words`` and the
-        BDM's ``chunks`` read in place.  The rest calls out, bracketed by
-        :meth:`_spill` and :meth:`_refill`: chunk boundaries, misses
-        (:meth:`bulk_fetch` plus ``window.retire_memory``), set
-        overflow (:meth:`_check_overflow`), dirty-line store
-        classification (:meth:`_classify_store`) and sync ops
-        (:meth:`execute_op`).  Line memos survive a miss and a
-        classification, which change no other line unless something left
-        the L1.  Bloom signatures take memoized packed masks OR-ed into
-        ``bits``; exact and mirror-tracking ones go through ``insert`` /
+        accesses, a line's first L1 hit in the chunk and a plain miss run
+        inline, with the hot thread/window/chunk counters held in locals
+        and the L1 (``sets``, ``set_mask``, ``lru_clock``), memory
+        ``words`` and the BDM's ``chunks`` read in place.  A plain miss
+        (no read disable at the home directory, no remote dirty owner) is
+        one :meth:`CoherenceController.fetch_for_chunk` call, retired with
+        ``window.retire_memory``'s arithmetic.  The rest calls out,
+        bracketed by :meth:`_spill` and :meth:`_refill`: chunk boundaries,
+        intercepted misses (:meth:`bulk_fetch` plus
+        ``window.retire_memory``), set overflow
+        (:meth:`_check_overflow`), dirty-line store classification
+        (:meth:`_classify_store`) and sync ops (:meth:`execute_op`).  Line
+        memos survive a miss and a classification, which change no other
+        line unless something left the L1 (its ``departures`` moved).
+        Bloom signatures take memoized packed masks OR-ed into ``bits``;
+        exact and mirror-tracking ones go through ``insert`` /
         ``member``.  Loads and stores go into the chunk's op log only
         while something reads it (see :meth:`_refill`).
 
@@ -504,7 +507,8 @@ class BulkSCDriver(ProcessorDriver):
         rd_ok, wr_ok, pv_ok = self._rd_ok, self._wr_ok, self._pv_ok
         spill, refill = self._spill, self._refill
         bulk_fetch, pinned = self.bulk_fetch, self.bdm.pinned
-        retire_memory = window.retire_memory
+        fetch = self.coherence.fetch_for_chunk
+        retire_memory, mshr_admit = window.retire_memory, window.mshr.admit
         k_slow, k_compute, k_load, k_fence = K_SLOW, K_COMPUTE, K_LOAD, K_FENCE
         committed, squashed = ChunkState.COMMITTED, ChunkState.SQUASHED
         modified = LineState.MODIFIED
@@ -654,40 +658,52 @@ class BulkSCDriver(ProcessorDriver):
                         else:
                             w_sig.insert(line)
                         chunk.true_written_lines.add(line)
-            # Fetch: inline only the interception-free L1 hit (no read
-            # disable at the home directory, no remote dirty owner).
-            hit = memo
-            if not memo and cl is not None and not disabled:
+            # Fetch: inline the interception-free access (no read disable
+            # at the home directory, no remote dirty owner), hit or miss.
+            plain = memo
+            if not memo and not disabled:
                 entry = peek_home(line)
-                hit = (
+                plain = (
                     entry is None
                     or not entry.dirty
                     or entry.owner is None
                     or entry.owner == proc
                 )
-            if hit:
-                cl.lru_stamp = next(l1_clock)
-                cursor += per_instr  # stores retire wait-free
-                if is_load:
-                    # Blocking retire at L1 latency (retire_memory's hit
-                    # path, decode_time in its O(1) oldest-entry form).
-                    completion = l1_rt
-                    if win_instr >= iwindow:
-                        decoded = (
-                            ring_times[0]
-                            - (iwindow - (win_instr - ring_counts[0])) * per_instr
-                        )
-                        if decoded > 0.0:
-                            completion += decoded
-                    if completion > cursor:
-                        cursor = completion
+            if plain:
+                if cl is not None:
+                    cl.lru_stamp = next(l1_clock)
+                    latency = l1_rt
+                else:
+                    latency = fetch(proc, line, pinned)
+                # retire_memory's arithmetic, decode_time in its O(1)
+                # oldest-entry form: loads wait for their data (fetched
+                # from decode), stores retire wait-free, misses take an
+                # MSHR entry.
+                start = 0.0
+                if win_instr >= iwindow and (is_load or latency > l1_rt):
+                    start = (
+                        ring_times[0]
+                        - (iwindow - (win_instr - ring_counts[0])) * per_instr
+                    )
+                    if start < 0.0:
+                        start = 0.0
+                if latency > l1_rt:
+                    start = mshr_admit(line, latency, start)
+                cursor += per_instr
+                if is_load and start + latency > cursor:
+                    cursor = start + latency
                 ring_times.append(cursor)
                 ring_counts.append(1)
                 win_instr += 1
                 while ring_counts and win_instr - ring_counts[0] >= iwindow:
                     ring_times.popleft()
                     win_instr -= ring_counts.popleft()
-                if not memo:
+                if cl is None:
+                    # A fill changes no other line unless its insert evicted.
+                    if l1.departures != self._departures_seen:
+                        self._departures_seen = l1.departures
+                        self._forget_lines()
+                elif not memo:
                     if is_load:
                         rd_ok[line] = cl
                     elif priv or line in chunk.true_written_lines:
@@ -698,9 +714,8 @@ class BulkSCDriver(ProcessorDriver):
                         pv_ok[line] = (cl, rm)
             else:
                 spill(pc, retired, cursor, win_instr, chunk_instr)
-                outcome = bulk_fetch(line, cursor, pinned)
-                retire_memory(outcome.latency, blocking=is_load, line_addr=line)
-                # A fill changes no other line unless its insert evicted.
+                latency = bulk_fetch(line, pinned)
+                retire_memory(latency, blocking=is_load, line_addr=line)
                 (cursor, win_instr, chunk, chunk_instr, target, chunk_wb,
                  chunk_log) = refill(forget=False)
             if is_load:
@@ -839,9 +854,7 @@ class BulkSCDriver(ProcessorDriver):
     # ------------------------------------------------------------------
     # Demand fetch (Sections 4.3.2, 5.2)
     # ------------------------------------------------------------------
-    def bulk_fetch(
-        self, line_addr: int, now: float, pinned: Callable[[int], bool]
-    ) -> AccessOutcome:
+    def bulk_fetch(self, line_addr: int, pinned: Callable[[int], bool]) -> float:
         """A chunk's demand fetch: read request + BulkSC intercepts.
 
         Two interceptions happen before the plain coherence fill:
@@ -854,17 +867,19 @@ class BulkSCDriver(ProcessorDriver):
           finds the line in a running chunk's Wpriv, the Private Buffer
           supplies the *old* version and the address is added back into
           that chunk's W signature.
+
+        Returns the latency.  A miss that meets neither interception
+        skips this method: the run loop calls
+        :meth:`CoherenceController.fetch_for_chunk` itself.
         """
         coherence = self.coherence
         dir_index = self.address_map.directory_of(line_addr)
         bounced = self.dirbdms[dir_index].is_read_disabled(line_addr)
         self._maybe_wpriv_intervention(line_addr, coherence.directories[dir_index])
-        outcome = coherence.fetch_for_chunk(
-            self.proc, line_addr, now, pinned, dir_index
-        )
+        latency = coherence.fetch_for_chunk(self.proc, line_addr, pinned, dir_index)
         if bounced:
-            outcome.latency += 2 * self._hop + self.commit_engine.ACK_TURNAROUND_CYCLES
-        return outcome
+            latency += 2 * self._hop + self.commit_engine.ACK_TURNAROUND_CYCLES
+        return latency
 
     def _maybe_wpriv_intervention(
         self, line_addr: int, directory: DirectoryModule
@@ -932,9 +947,9 @@ class BulkSCDriver(ProcessorDriver):
                 break
         else:
             value = self.memory.read(addr)
-        outcome = self.bulk_fetch(line, self.now, self.bdm.pinned)
+        latency = self.bulk_fetch(line, self.bdm.pinned)
         self.window.retire_memory(
-            outcome.latency, blocking=True, instructions=instructions, line_addr=line
+            latency, blocking=True, instructions=instructions, line_addr=line
         )
         return chunk, line, value
 

@@ -37,9 +37,11 @@ class RetirementWindow:
         self.mshr = mshr
         # The run loops (``repro.consistency.base`` and
         # ``repro.core.driver``) hold ``retire_cursor`` and
-        # ``ring_instructions`` in locals and update the ring in place with
-        # exactly the arithmetic of :meth:`retire_compute` / :meth:`_push`,
-        # writing both counters back before any call into this object.
+        # ``ring_instructions`` in locals and retire compute bursts, L1
+        # hits and plain misses themselves, with exactly the arithmetic of
+        # :meth:`retire_compute` / :meth:`retire_memory` / :meth:`_push`
+        # (a miss still goes through ``mshr.admit``), writing both
+        # counters back before any call into this object.
         self.retire_cursor = 0.0
         self.per_instruction = 1.0 / config.commit_width
         self.l1_round_trip = 2.0  # refined by set_l1_round_trip()
@@ -100,6 +102,9 @@ class RetirementWindow:
         unhideable: float = 0.0,
     ) -> float:
         """Retire one memory op and return the new retirement cursor.
+
+        Every call-out retires through here; the run loops' inline hit
+        and plain-miss retirement must stay equal to it.
 
         Args:
             latency: Access latency from the coherence controller.

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.cpu.driver import DriverState
-from repro.cpu.isa import Barrier, Compute, SpinUntil, Store
+from repro.coherence.protocol import CoherenceController
+from repro.core.driver import BulkSCDriver
+from repro.cpu.isa import Barrier, Compute, Load, SpinUntil, Store
 from repro.cpu.thread import ThreadProgram
 from repro.memory.address import AddressMap, AddressSpace
-from repro.params import sc_config
+from repro.params import NAMED_CONFIGS, sc_config
 from repro.system import Machine
 
 
@@ -85,3 +87,43 @@ class TestSpinWake:
         result = machine.run()
         assert machine.drivers[0].state is DriverState.FINISHED
         assert result.stat("proc0.flag_spins") >= 1
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestInlineMissPath:
+    """The run loops fill a plain miss with one coherence call."""
+
+    #: Loads to 32 distinct lines, then stores to 32 more: all cold misses.
+    OPS = [Load(f"r{i}", 64 * i) for i in range(32)] + [
+        Store(64 * (32 + i), i) for i in range(32)
+    ]
+
+    @pytest.mark.parametrize("config_name", ["BSCdypvt", "BSCexact"])
+    def test_bulksc_plain_miss_skips_bulk_fetch(self, monkeypatch, config_name):
+        fetches = _count_calls(monkeypatch, CoherenceController, "fetch_for_chunk")
+        intercepted = _count_calls(monkeypatch, BulkSCDriver, "bulk_fetch")
+        result = make_machine([self.OPS], NAMED_CONFIGS[config_name]()).run()
+        assert result.stat("coherence.fill.mem") == 64
+        assert len(fetches) == 64
+        assert intercepted == []
+
+    @pytest.mark.parametrize("config_name", ["SC", "RC", "SC++", "TSO"])
+    def test_baseline_plain_load_miss_skips_the_hook(self, monkeypatch, config_name):
+        machine = make_machine([self.OPS], NAMED_CONFIGS[config_name]())
+        reads = _count_calls(monkeypatch, CoherenceController, "read")
+        hooks = _count_calls(monkeypatch, type(machine.drivers[0]), "_load")
+        result = machine.run()
+        assert result.stat("coherence.fill.mem") == 64
+        assert len(reads) == 32
+        assert hooks == []
