@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from repro.engine.stats import StatsRegistry
+from repro.engine.stats import Counter, StatsRegistry
 from repro.errors import ProtocolError
 from repro.params import BulkSCConfig
 from repro.signatures.base import Signature
@@ -79,6 +79,10 @@ class Arbiter:
         self._active: Dict[int, Tuple[Signature, int]] = {}
         self._reserved_by: Optional[int] = None
         self._name = f"arbiter{index}"
+        # Handles of the per-decide counters, made on first use: an unused
+        # counter must stay out of the stats snapshot.
+        self._requests: Optional[Counter] = None
+        self._grants: Optional[Counter] = None
         # Crash-recovery state: the incarnation number, the service mode,
         # and — during reconstruction — the surviving commits whose W was
         # re-admitted and must drain before normal service resumes.
@@ -104,7 +108,10 @@ class Arbiter:
         ``r_sig=None`` models the RSig protocol's first message (W only);
         the arbiter then either grants (empty list) or requests R.
         """
-        self.stats.bump(f"{self._name}.requests")
+        requests = self._requests
+        if requests is None:
+            requests = self._requests = self.stats.counter(f"{self._name}.requests")
+        requests.value += 1.0
         if self._mode is ArbiterMode.DOWN:
             self.stats.bump(f"{self._name}.denied_down")
             return ArbitrationDecision(False, reason="arbiter down (awaiting recovery)")
@@ -145,7 +152,10 @@ class Arbiter:
         return self._grant(w_sig, now, r_was_needed=True)
 
     def _grant(self, w_sig: Signature, now: float, r_was_needed: bool) -> ArbitrationDecision:
-        self.stats.bump(f"{self._name}.grants")
+        grants = self._grants
+        if grants is None:
+            grants = self._grants = self.stats.counter(f"{self._name}.grants")
+        grants.value += 1.0
         if w_sig.is_empty():
             self.stats.bump(f"{self._name}.empty_w_commits")
         if r_was_needed:

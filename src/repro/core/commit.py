@@ -365,18 +365,7 @@ class CommitEngine:
         for subscriber in self.subscribers:
             subscriber("commit.serialize", chunk.proc, txn)
         self.memory.write_many(chunk.commit_updates())
-        history = self.history
-        if history.enabled:
-            for is_store, word_addr, value, program_index in chunk.ops:
-                history.record(
-                    now,
-                    chunk.proc,
-                    is_store,
-                    word_addr,
-                    value,
-                    program_index,
-                    chunk_id=chunk.chunk_id,
-                )
+        self.history.record_ops(now, chunk.proc, chunk.chunk_id, chunk.ops)
         chunk.mark(ChunkState.GRANTED)
 
     def _send_grant(self, txn: CommitTransaction) -> None:

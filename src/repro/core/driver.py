@@ -19,7 +19,7 @@ the private-data store classification of Section 5.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.coherence.directory import DirectoryModule
 from repro.core.chunk import Chunk, ChunkState
@@ -28,6 +28,7 @@ from repro.cpu.checkpoint import Checkpoint
 from repro.cpu.driver import DriverState, ProcessorDriver
 from repro.cpu.isa import Barrier, Io, LockAcquire, SpinUntil, resolve_operand
 from repro.cpu.opstream import K_COMPUTE, K_FENCE, K_LOAD, K_SLOW, V_LIT, stream_for
+from repro.engine.stats import Counter, Distribution
 from repro.errors import ProgramError, SimulationError, StarvationError
 from repro.interconnect.network import Network
 from repro.memory.cache import LineState
@@ -86,6 +87,12 @@ class BulkSCDriver(ProcessorDriver):
         self.committed_instructions = 0
         self.chunk_squashes = 0
         self.chunk_commits = 0
+        # The per-commit stat handles, made on the first commit (an unused
+        # stat must stay out of the snapshot): the commit counter and the
+        # read, write and private-write set distributions.
+        self._commit_stats: Optional[
+            Tuple[Counter, Distribution, Distribution, Distribution]
+        ] = None
         # Starvation watchdog (armed only under fault injection).
         self._starvation_strikes = 0
         self._last_progress_commits = 0
@@ -317,16 +324,20 @@ class BulkSCDriver(ProcessorDriver):
         self.policy.note_commit()
         self.chunk_commits += 1
         self.committed_instructions += chunk.instructions
-        self.stats.bump(f"proc{self.proc}.chunk_commits")
-        self.stats.distribution(f"proc{self.proc}.read_set").sample(
-            len(chunk.true_read_lines)
-        )
-        self.stats.distribution(f"proc{self.proc}.write_set").sample(
-            len(chunk.true_written_lines)
-        )
-        self.stats.distribution(f"proc{self.proc}.priv_write_set").sample(
-            len(chunk.true_private_lines)
-        )
+        handles = self._commit_stats
+        if handles is None:
+            stats, prefix = self.stats, f"proc{self.proc}"
+            handles = self._commit_stats = (
+                stats.counter(f"{prefix}.chunk_commits"),
+                stats.distribution(f"{prefix}.read_set"),
+                stats.distribution(f"{prefix}.write_set"),
+                stats.distribution(f"{prefix}.priv_write_set"),
+            )
+        commits, read_set, write_set, priv_write_set = handles
+        commits.value += 1.0
+        read_set.sample(len(chunk.true_read_lines))
+        write_set.sample(len(chunk.true_written_lines))
+        priv_write_set.sample(len(chunk.true_private_lines))
         if self._barrier_after_chunk is chunk:
             self._barrier_after_chunk = None
             self._arrive_barrier()

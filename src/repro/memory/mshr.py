@@ -3,10 +3,10 @@
 An :class:`MshrFile` bounds the number of outstanding line misses a cache
 can have in flight.  Requests to a line that is already in flight merge
 into the existing entry (secondary misses).  When the file is full, the
-miss must stall until :meth:`earliest_free` — this is one of the levers
-that differentiates the consistency models' overlap behaviour.
-:meth:`admit` does the stall and the allocation for one miss in a single
-expiry pass; the retirement window issues every miss through it.
+miss must stall until the earliest entry completes — this is one of the
+levers that differentiates the consistency models' overlap behaviour.
+:meth:`admit` is the one entry point: it does the stall and the
+allocation for one miss in a single expiry pass.
 """
 
 from __future__ import annotations
@@ -39,33 +39,11 @@ class MshrFile:
             del outstanding[addr]
         self._next_expiry = min(outstanding.values(), default=float("inf"))
 
-    def outstanding(self, now: float) -> int:
-        self._expire(now)
-        return len(self._outstanding)
-
-    def in_flight(self, line_addr: int, now: float) -> bool:
-        self._expire(now)
-        return line_addr in self._outstanding
-
-    def completion_time(self, line_addr: int, now: float) -> float:
-        """When the in-flight miss for ``line_addr`` completes (else now)."""
-        self._expire(now)
-        return self._outstanding.get(line_addr, now)
-
-    def earliest_free(self, now: float) -> float:
-        """Earliest time an entry frees up (``now`` if one is free)."""
-        self._expire(now)
-        if len(self._outstanding) < self.capacity:
-            return now
-        self.full_stalls += 1
-        return min(self._outstanding.values())
-
     def admit(self, line_addr: int, latency: float, start: float) -> float:
         """Issue a miss at ``start``; returns when its fetch really starts.
 
-        :meth:`earliest_free` then :meth:`allocate` in one expiry pass: a
-        full file delays the fetch to the earliest completion (a full
-        stall), and the miss merges into an in-flight entry for its line
+        A full file delays the fetch to the earliest completion (a full
+        stall).  The miss then merges into an in-flight entry for its line
         or allocates one completing ``latency`` after the fetch starts.
         """
         outstanding = self._outstanding
@@ -83,25 +61,6 @@ class MshrFile:
         if completion < self._next_expiry:
             self._next_expiry = completion
         return start
-
-    def allocate(self, line_addr: int, completion_time: float, now: float) -> float:
-        """Allocate (or merge into) an entry; returns the completion time.
-
-        Callers must first consult :meth:`earliest_free` and advance their
-        clock if the file is full; allocating into a full file raises.
-        """
-        self._expire(now)
-        existing = self._outstanding.get(line_addr)
-        if existing is not None:
-            self.secondary_misses += 1
-            return existing
-        if len(self._outstanding) >= self.capacity:
-            raise RuntimeError(f"{self.name}: allocate into full MSHR file")
-        self.primary_misses += 1
-        self._outstanding[line_addr] = completion_time
-        if completion_time < self._next_expiry:
-            self._next_expiry = completion_time
-        return completion_time
 
     def clear(self) -> None:
         self._outstanding.clear()

@@ -98,19 +98,16 @@ def _replay(records: List[TraceRecord]) -> Tuple[ExecutionHistory, Dict[int, int
             continue
         chunks += 1
         chunk = record.data.get("chunk")
-        for op in record.data["ops"]:
-            is_store, addr, value, program_index = op
-            history.record(
-                time=record.t,
-                proc=int(record.p),
-                is_store=bool(is_store),
-                word_addr=int(addr),
-                value=int(value),
-                program_index=int(program_index),
-                chunk_id=chunk if chunk is None else int(chunk),
-            )
+        ops = [
+            (bool(is_store), int(addr), int(value), int(program_index))
+            for is_store, addr, value, program_index in record.data["ops"]
+        ]
+        history.record_ops(
+            record.t, int(record.p), chunk if chunk is None else int(chunk), ops
+        )
+        for is_store, addr, value, __ in ops:
             if is_store:
-                memory[int(addr)] = int(value)
+                memory[addr] = value
     return history, memory, chunks
 
 

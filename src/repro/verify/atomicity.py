@@ -43,16 +43,18 @@ def check_chunk_atomicity(history: ExecutionHistory) -> AtomicityCheckResult:
     Events without a ``chunk_id`` (from baseline models) are treated as
     single-operation chunks and only constrain contiguity trivially.
     """
-    # Pass 1: chunk blocks must be contiguous and unique.
+    # Pass 1: chunk blocks must be contiguous and unique.  The history's
+    # storage blocks are ignored: contiguity is judged from the rows.
     seen_blocks: set = set()
     current_block: Optional[Tuple[int, int]] = None
     last_chunk_id: Dict[int, int] = {}
     last_program_index: Dict[int, int] = {}
-    for event in history.events():
-        if event.chunk_id is None:
+    for row in history.rows():
+        proc, chunk_id = row[2], row[7]
+        if chunk_id is None:
             current_block = None
             continue
-        block = (event.proc, event.chunk_id)
+        block = (proc, chunk_id)
         if block == current_block:
             continue
         # A new block begins; it must never have appeared before.
@@ -60,41 +62,42 @@ def check_chunk_atomicity(history: ExecutionHistory) -> AtomicityCheckResult:
             return AtomicityCheckResult(
                 ok=False,
                 reason=(
-                    f"proc {event.proc} chunk {event.chunk_id} is split: its "
+                    f"proc {proc} chunk {chunk_id} is split: its "
                     "operations do not form one contiguous block of the "
                     "visibility order (atomic commit violated)"
                 ),
-                offending_event=event,
+                offending_event=MemoryEvent(*row),
             )
         seen_blocks.add(block)
         current_block = block
         # Per-processor chunk ids must increase (in-order commit).
-        previous = last_chunk_id.get(event.proc)
-        if previous is not None and event.chunk_id <= previous:
+        previous = last_chunk_id.get(proc)
+        if previous is not None and chunk_id <= previous:
             return AtomicityCheckResult(
                 ok=False,
                 reason=(
-                    f"proc {event.proc}: chunk {event.chunk_id} committed "
+                    f"proc {proc}: chunk {chunk_id} committed "
                     f"after chunk {previous} (per-processor chunk order "
                     "violated, CReq1)"
                 ),
-                offending_event=event,
+                offending_event=MemoryEvent(*row),
             )
-        last_chunk_id[event.proc] = event.chunk_id
+        last_chunk_id[proc] = chunk_id
     # Pass 2: program order within and across the processor's blocks.
-    for event in history.events():
-        previous = last_program_index.get(event.proc, -1)
-        if event.program_index < previous:
+    for row in history.rows():
+        proc, program_index = row[2], row[6]
+        previous = last_program_index.get(proc, -1)
+        if program_index < previous:
             return AtomicityCheckResult(
                 ok=False,
                 reason=(
-                    f"proc {event.proc}: program index {event.program_index} "
+                    f"proc {proc}: program index {program_index} "
                     f"after {previous} (program order broken inside or "
                     "across chunks)"
                 ),
-                offending_event=event,
+                offending_event=MemoryEvent(*row),
             )
-        last_program_index[event.proc] = event.program_index
+        last_program_index[proc] = program_index
     return AtomicityCheckResult(ok=True)
 
 
@@ -102,15 +105,17 @@ def chunk_blocks(history: ExecutionHistory) -> List[Tuple[int, int, int]]:
     """Summarize the history as ``(proc, chunk_id, op_count)`` blocks.
 
     Useful for tests and debugging: the block sequence *is* the chunk
-    serialization order the arbiter produced.
+    serialization order the arbiter produced.  Blocks are rebuilt from
+    the rows, so a chunk the history stored in two adjacent pieces is one
+    block here, and a split one shows up twice.
     """
     blocks: List[Tuple[int, int, int]] = []
-    for event in history.events():
-        if event.chunk_id is None:
+    for row in history.rows():
+        proc, chunk_id = row[2], row[7]
+        if chunk_id is None:
             continue
-        key = (event.proc, event.chunk_id)
-        if blocks and (blocks[-1][0], blocks[-1][1]) == key:
-            blocks[-1] = (key[0], key[1], blocks[-1][2] + 1)
+        if blocks and blocks[-1][0] == proc and blocks[-1][1] == chunk_id:
+            blocks[-1] = (proc, chunk_id, blocks[-1][2] + 1)
         else:
-            blocks.append((key[0], key[1], 1))
+            blocks.append((proc, chunk_id, 1))
     return blocks

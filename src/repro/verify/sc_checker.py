@@ -54,32 +54,33 @@ def check_sequential_consistency(
     """
     last_program_index: Dict[int, int] = {}
     memory: Dict[int, int] = dict(initial_memory or {})
-    for event in history.events():
-        previous = last_program_index.get(event.proc, -1)
-        if event.program_index < previous:
+    for row in history.rows():
+        __, __, proc, is_store, word_addr, value, program_index, __ = row
+        previous = last_program_index.get(proc, -1)
+        if program_index < previous:
             return SCCheckResult(
                 ok=False,
                 reason=(
-                    f"proc {event.proc}: op with program index "
-                    f"{event.program_index} became visible after index {previous} "
+                    f"proc {proc}: op with program index "
+                    f"{program_index} became visible after index {previous} "
                     "(program order violated in the global visibility order)"
                 ),
-                offending_event=event,
+                offending_event=MemoryEvent(*row),
             )
-        last_program_index[event.proc] = event.program_index
-        if event.is_store:
-            memory[event.word_addr] = event.value
+        last_program_index[proc] = program_index
+        if is_store:
+            memory[word_addr] = value
         else:
-            expected = memory.get(event.word_addr, 0)
-            if event.value != expected:
+            expected = memory.get(word_addr, 0)
+            if value != expected:
                 return SCCheckResult(
                     ok=False,
                     reason=(
-                        f"proc {event.proc}: load of word {event.word_addr:#x} "
-                        f"returned {event.value} but the most recent store in "
+                        f"proc {proc}: load of word {word_addr:#x} "
+                        f"returned {value} but the most recent store in "
                         f"the visibility order wrote {expected}"
                     ),
-                    offending_event=event,
+                    offending_event=MemoryEvent(*row),
                 )
     return SCCheckResult(ok=True)
 

@@ -139,18 +139,18 @@ def _chunk_footprints(history: ExecutionHistory):
     order: List[Tuple[int, int]] = []
     reads: Dict[Tuple[int, int], Set[int]] = {}
     writes: Dict[Tuple[int, int], Set[int]] = {}
-    for event in history.events():
-        if event.chunk_id is None:
+    for __, __, proc, is_store, word_addr, __, __, chunk_id in history.rows():
+        if chunk_id is None:
             continue
-        key = (event.proc, event.chunk_id)
+        key = (proc, chunk_id)
         if key not in reads:
             order.append(key)
             reads[key] = set()
             writes[key] = set()
-        if event.is_store:
-            writes[key].add(event.word_addr)
+        if is_store:
+            writes[key].add(word_addr)
         else:
-            reads[key].add(event.word_addr)
+            reads[key].add(word_addr)
     return order, reads, writes
 
 

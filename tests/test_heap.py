@@ -5,6 +5,8 @@
   ``gc.collect()``.
 * The per-process workload memo holds programs as their encoded op
   streams, which the collector does not track.
+* A recorded history holds no object the collector still tracks after
+  one collection.
 * An encoded program still reads back as the ops it was built from.
 """
 
@@ -139,6 +141,24 @@ class TestWorkloadMemo:
                 program.op_stream(workload.address_space.map.line_shift)
         gc.collect()  # CPython untracks atom-only tuples when it scans them
         assert tracked_reachable(workloads) <= 2000
+
+
+class TestRecordedHistory:
+    def test_recorded_rows_and_blocks_are_untracked(self):
+        """The certified history is headers and op tuples of atoms only:
+        one collection takes them all off the cyclic GC's books."""
+        config = NAMED_CONFIGS["BSCdypvt"](seed=0).with_bulksc(
+            chunk_size_instructions=100
+        )
+        workload = build_app_workload("ocean", config, 600, 0)
+        history = run_workload(
+            config, workload.programs, workload.address_space, record_history=True
+        ).history
+        assert len(history._heads) > 100
+        assert len(history._ops) > len(history._heads)
+        gc.collect()
+        assert tracked_reachable(history._heads) == 0
+        assert tracked_reachable(history._ops) == 0
 
 
 class TestEncodedProgram:
