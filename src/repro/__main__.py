@@ -21,7 +21,8 @@ Commands:
 * ``service`` — benchmark (``bench``) and certify (``certify``) live
   service runs: socket transport, epoch-fenced arbiter failover, SC
   certification of the merged history.
-* ``experiments`` — regenerate one of the paper's tables/figures.
+* ``experiments`` — regenerate the paper's tables/figures (one, or
+  ``all``) and check the paper's claims about them; exits 1 if one fails.
 * ``profile`` — run the simulator core under cProfile and print the
   hottest functions.
 * ``list`` — show the available applications and configurations.
@@ -290,30 +291,52 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import figure9, figure10, figure11, table3, table4
-    from repro.harness.runner import ALL_APPS, SweepRunner
+    import time
 
+    from repro.harness.experiments import EXPERIMENTS
+    from repro.harness.metrics import geometric_mean
+    from repro.harness.runner import ALL_APPS, FIGURE9_CONFIGS, SweepRunner
+
+    # One runner for every artifact, so Tables 3-4 read Fig 9's cells.
     runner = SweepRunner(args.instructions, args.seed, jobs=args.jobs)
     apps = args.apps or list(ALL_APPS)
-    if args.name == "figure9":
-        __, report = figure9(runner, apps=apps)
-    elif args.name == "figure10":
-        __, report = figure10(
-            instructions=args.instructions, seed=args.seed, apps=apps, jobs=args.jobs
+    reproduce = args.name == "all"
+    names = list(EXPERIMENTS) if reproduce else [args.name]
+    started = time.time()  # detlint: ok[DET003] — printed timing lines only
+    if reproduce:
+        # Flushed before each render: forked sweep workers flush the
+        # stdout buffer they inherit when they exit.
+        print(
+            f"Sweeping {len(apps)} apps x {len(FIGURE9_CONFIGS)} configs "
+            f"({args.instructions} instructions/thread)...\n",
+            flush=True,
         )
-    elif args.name == "figure11":
-        __, report = figure11(
-            instructions=args.instructions, seed=args.seed, apps=apps, jobs=args.jobs
+    artifacts = {}
+    failed = 0
+    for name in names:
+        experiment = EXPERIMENTS[name]
+        began = time.time()  # detlint: ok[DET003] — printed timing lines only
+        data, report = experiment.render(runner, apps)
+        artifacts[name] = data
+        print(report)
+        if reproduce:
+            seconds = time.time() - began  # detlint: ok[DET003] — printed timing lines only
+            print(f"[{name} in {seconds:.0f}s]\n", flush=True)
+        for claim, ok in experiment.check(data, apps):
+            failed += not ok
+            verdict = "PASS" if ok else "FAIL"
+            print(f"{verdict} {name} section {claim.section}: {claim.text}", file=sys.stderr)
+    if reproduce:
+        series = artifacts["figure9"]
+        gm = {name: geometric_mean([series[name][a] for a in apps]) for name in series}
+        print("Figure 9 geometric means:", {k: round(v, 3) for k, v in gm.items()})
+        seconds = time.time() - started  # detlint: ok[DET003] — printed timing lines only
+        print(f"\nTotal wall time: {seconds:.0f}s")
+        print(
+            "Renderings above correspond to EXPERIMENTS.md; "
+            "see that file for the paper-vs-measured discussion."
         )
-    elif args.name == "table3":
-        __, report = table3(runner, apps=apps)
-    elif args.name == "table4":
-        __, report = table4(runner, apps=apps)
-    else:
-        print(f"unknown experiment {args.name!r}", file=sys.stderr)
-        return 2
-    print(report)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -456,10 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_serve_parser(sub)
     add_service_parser(sub)
 
-    p_exp = sub.add_parser("experiments", help="regenerate a paper artifact")
+    p_exp = sub.add_parser(
+        "experiments",
+        help="regenerate a paper artifact and check its claims (exit 1 on a failed one)",
+    )
     p_exp.add_argument(
         "name",
-        choices=["figure9", "figure10", "figure11", "table3", "table4"],
+        choices=["all", "figure9", "table3", "table4", "figure10", "figure11"],
+        help="one artifact, or all of them in order: the full reproduction",
     )
     p_exp.add_argument("--apps", nargs="*", help="app subset (default: all)")
     _add_common(p_exp)

@@ -73,11 +73,9 @@ class CoherenceController:
             SetAssocCache(mem.l1, name=f"l1.{p}") for p in range(config.num_processors)
         ]
         self.l1_mshrs: List[MshrFile] = [
-            MshrFile(mem.l1.mshr_entries, name=f"mshr.l1.{p}")
-            for p in range(config.num_processors)
+            MshrFile(mem.l1.mshr_entries) for __ in range(config.num_processors)
         ]
         self.l2 = SetAssocCache(mem.l2, name="l2")
-        self.l2_mshr = MshrFile(mem.l2.mshr_entries, name="mshr.l2")
         if use_directory_cache:
             self.directories: List[DirectoryModule] = [
                 DirectoryCache(

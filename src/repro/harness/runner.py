@@ -10,7 +10,7 @@ Two things are shared, at two scopes:
   object, and its compiled op streams with it.
 * **Results, per runner.**  One :class:`SweepRunner` caches every
   simulation it runs, so artifacts that share a runner (Tables 3-4
-  after Fig 9 in ``examples/reproduce_paper.py``) read its cells
+  after Fig 9 in ``python -m repro experiments all``) read its cells
   without re-simulating.  Results are *not* shared across runners:
   ``figure10`` and ``figure11`` build their own runners and simulate
   their cells again, including the ones another artifact already ran.

@@ -17,11 +17,10 @@ from typing import Dict
 class MshrFile:
     """Tracks outstanding misses as ``line_addr -> completion_time``."""
 
-    def __init__(self, capacity: int, name: str = "mshr"):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("MSHR capacity must be at least 1")
         self.capacity = capacity
-        self.name = name
         self._outstanding: Dict[int, float] = {}
         # Earliest completion among outstanding entries; while ``now`` is
         # below it no entry can expire, so _expire is O(1) on the hot path.
@@ -61,7 +60,3 @@ class MshrFile:
         if completion < self._next_expiry:
             self._next_expiry = completion
         return start
-
-    def clear(self) -> None:
-        self._outstanding.clear()
-        self._next_expiry = float("inf")

@@ -5,6 +5,7 @@ the exit-code contract over aggregate reports."""
 import json
 import os
 import shutil
+import time
 
 import pytest
 
@@ -275,3 +276,48 @@ class TestParallelBitIdentity:
         a = run_campaign(serial, RunnerOptions(jobs=1, shard_size=5))
         b = run_campaign(fanned, RunnerOptions(jobs=4, shard_size=3))
         assert a == b
+
+
+class TestOverhead:
+    def test_durability_is_cheap(self, tmp_path):
+        """A durable campaign costs < 1.8x raw execute_cell calls; a resume
+        of the finished store costs < 15% of them.
+
+        The same litmus grid runs as a raw serial loop and as a full
+        run_campaign over an on-disk store (fsyncs amortize over the shard
+        size).  Best of 3 each; the bounds are machine-independent ratios.
+        """
+        spec = make_spec(workload_args=["litmus"], seeds="0:8")
+
+        def timed(fn, *args):
+            start = time.perf_counter()
+            result = fn(*args)
+            return time.perf_counter() - start, result
+
+        def raw_pass():
+            for cell in queue_for(spec):
+                execute_cell(cell)
+
+        raw_s = min(timed(raw_pass)[0] for __ in range(3))
+        campaign_s = resume_s = float("inf")
+        for attempt in range(3):
+            store = CampaignStore.create(str(tmp_path / f"store{attempt}"), spec)
+            elapsed, payload = timed(
+                run_campaign, store, RunnerOptions(jobs=1, shard_size=32, minimize=False)
+            )
+            campaign_s = min(campaign_s, elapsed)
+            assert payload["all_certified"], payload
+            # Resume of a complete store: log replay + aggregate only.
+            store = CampaignStore.open(str(tmp_path / f"store{attempt}"))
+            elapsed, __ = timed(run_campaign, store, RunnerOptions(jobs=1, minimize=False))
+            resume_s = min(resume_s, elapsed)
+
+        overhead = campaign_s / raw_s
+        assert overhead < 1.8, (
+            f"campaign durability overhead {overhead:.2f}x exceeds the 1.8x "
+            f"budget (raw {raw_s:.2f}s vs campaign {campaign_s:.2f}s)"
+        )
+        assert resume_s < 0.15 * raw_s, (
+            f"no-op resume took {resume_s:.2f}s — more than 15% of the raw "
+            f"pass ({raw_s:.2f}s); log replay or aggregation regressed"
+        )

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.harness.experiments import EXPERIMENTS
 from repro.verify import litmus
 
 
@@ -54,13 +55,33 @@ class TestCompare:
 
 
 class TestExperiments:
+    def test_every_registered_artifact_is_a_name(self):
+        for name in ["all", *EXPERIMENTS]:
+            assert build_parser().parse_args(["experiments", name]).name == name
+
     def test_figure9_subset(self, capsys):
         code = main(
             ["experiments", "figure9", "--apps", "lu", "--instructions", "2000"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Figure 9" in out and "G.M." in out
+        captured = capsys.readouterr()
+        assert "Figure 9" in captured.out and "G.M." in captured.out
+        verdicts = captured.err.splitlines()
+        assert len(verdicts) == len(EXPERIMENTS["figure9"].claims)
+        assert all(line.startswith("PASS figure9 section 7.1: ") for line in verdicts)
+
+    def test_failed_claim_exits_1_and_is_named(self, monkeypatch, capsys):
+        experiment = EXPERIMENTS["figure9"]
+        broken = replace(experiment.claims[1], holds=lambda data, apps: False)
+        claims = (experiment.claims[0], broken) + experiment.claims[2:]
+        monkeypatch.setitem(EXPERIMENTS, "figure9", replace(experiment, claims=claims))
+        code = main(
+            ["experiments", "figure9", "--apps", "lu", "--instructions", "2000"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"FAIL figure9 section 7.1: {broken.text}" in err.splitlines()
+        assert err.count("FAIL") == 1
 
 
 class TestLitmus:

@@ -20,6 +20,7 @@ from repro.errors import ConfigError, ProtocolError
 from repro.faults.chaos import ChaosReport, ChaosRunRecord, run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashPoint, FaultPlan, crash_script_from
+from repro.harness.runner import ALL_APPS, build_app_workload
 from repro.params import ArbiterTopology, BulkSCConfig, bsc_dypvt
 from repro.replay.recorder import record_run, replay_cell
 from repro.replay.replayer import replay_trace
@@ -262,6 +263,47 @@ class TestCrashSweep:
         assert result.stat("arbiter0.readmitted") >= 1
         assert result.stat("recovery.total_cycles.mean") > 0
         assert check_sequential_consistency(result.history).ok
+
+
+class TestRecoveryCost:
+    def test_mid_run_crash_on_an_app_recovers_at_bounded_cost(self):
+        """Kill the arbiter at the 5th grant of a synthetic app run.
+
+        The crashed run drops the in-flight W list, waits out the failover
+        delay, serves the reconstruction phase serially and restores
+        overlapped commit.  Bounded in simulated cycles and recovery
+        stats, not wall time: it pays at least the failover outage, stays
+        under a small multiple of the crash-free run, and is SC-certified.
+        """
+        config = bsc_dypvt(seed=0)
+        workload = build_app_workload(ALL_APPS[0], config, 2000, 0)
+
+        def run(injector):
+            return run_workload(
+                config,
+                workload.programs,
+                workload.address_space,
+                record_history=True,
+                fault_injector=injector,
+            )
+
+        plain = run(None)
+        crashed = run(_crash_injector(["grant:5:arbiter0"], "recovery-cost"))
+        outage = crashed.stat("recovery.outage_cycles.mean")
+        degraded = crashed.stat("recovery.degraded_cycles.mean")
+        recovery = crashed.stat("recovery.total_cycles.mean")
+        # The crash must actually have fired and fully recovered.
+        assert crashed.stat("recovery.crashes") == 1
+        assert crashed.stat("arbiter0.readmitted") >= 0
+        assert recovery == outage + degraded
+        # The outage is at least the configured failover delay, and the
+        # whole recovery window is what the crashed run pays over the
+        # crash-free one.
+        assert outage >= config.bulksc.resilience.recovery_delay_cycles
+        assert crashed.cycles >= plain.cycles
+        slowdown = crashed.cycles / plain.cycles
+        assert slowdown < 5.0, f"recovery too expensive: {slowdown:.2f}x slowdown"
+        assert check_sequential_consistency(crashed.history).ok
 
 
 # ---------------------------------------------------------------------------

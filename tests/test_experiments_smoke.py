@@ -1,13 +1,21 @@
 """Small-scale smoke tests for the experiment-regeneration functions.
 
-The benchmarks run these at full scale; here a two-app, short-run sweep
-validates the plumbing (series structure, normalization, report text) so
-harness regressions surface in the fast suite.
+``python -m repro experiments`` runs these at full scale and checks the
+paper's claims on them; here a two-app, short-run sweep validates the
+plumbing (series structure, normalization, report text, the data each
+claim reads) so harness regressions surface in the fast suite.
 """
 
 import pytest
 
-from repro.harness.experiments import figure9, figure10, figure11, table3, table4
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    figure9,
+    figure10,
+    figure11,
+    table3,
+    table4,
+)
 from repro.harness.runner import FIGURE9_CONFIGS, SweepRunner
 
 APPS = ["lu", "water-ns"]
@@ -44,6 +52,15 @@ def test_table4_structure(runner):
         assert 0 <= data["empty_w_sig_pct"][app] <= 100
         assert data["pending_w_sigs"][app] >= 0
     assert "EmptyWSig%" in report
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_claims_read_their_artifacts_data(runner, name):
+    experiment = EXPERIMENTS[name]
+    data, __ = experiment.render(runner, APPS)
+    for claim in experiment.claims:
+        assert set(claim.keys) <= set(data), (name, claim.text)
+    assert len(experiment.check(data, APPS)) == len(experiment.claims)
 
 
 def test_figure10_structure():

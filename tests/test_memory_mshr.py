@@ -70,15 +70,6 @@ def test_capacity_validation():
         MshrFile(0)
 
 
-def test_clear():
-    mshr = MshrFile(2)
-    mshr.admit(1, 10.0, 0.0)
-    mshr.admit(2, 10.0, 0.0)
-    mshr.clear()
-    assert mshr.admit(1, 10.0, 1.0) == 1.0  # neither a merge nor a stall
-    assert counts(mshr) == (3, 0, 0)
-
-
 @pytest.mark.parametrize(
     "start,fetch,stalls",
     [(0.0, 10.0, 1), (5.0, 10.0, 1), (10.0, 10.0, 0), (15.0, 15.0, 0), (25.0, 25.0, 0)],

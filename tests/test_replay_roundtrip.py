@@ -5,6 +5,7 @@ determines a run, so re-driving a recorded trace must reproduce the
 identical event stream, final memory image, registers, and SC verdict.
 """
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,9 @@ from repro.campaign.spec import FaultVariant
 from repro.replay.recorder import record_run, replay_cell, save_chaos_failure
 from repro.replay.replayer import replay_trace
 from repro.replay.schema import read_trace, write_trace
-from repro.replay.workload import litmus_spec
+from repro.params import NAMED_CONFIGS
+from repro.replay.workload import build_workload, litmus_spec
+from repro.system import run_workload
 from repro.verify.litmus import all_litmus_tests
 
 SEEDS = [0, 1, 2]
@@ -206,3 +209,41 @@ def test_recorded_denial_run_replays(tmp_path):
     write_trace(denied.trace, path)
     result = replay_trace(read_trace(path))
     assert result.ok, result.describe()
+
+
+def test_record_and_replay_overhead():
+    """Recording must stay cheap and replay bounded, over the litmus suite.
+
+    Best of 5 passes each: plain runs, the same runs recorded, and the
+    recorded traces replayed (a second simulation plus the stream and
+    footer comparison).  The bounds are machine-independent ratios to the
+    plain pass, not wall times.
+    """
+    config = NAMED_CONFIGS["BSCdypvt"](seed=0)
+    specs = [litmus_spec(t.name, (1, 60)) for t in all_litmus_tests()]
+
+    def plain_pass():
+        for spec in specs:
+            programs, space, __ = build_workload(spec, config)
+            run_workload(config, programs, space, record_history=True)
+
+    def record_pass():
+        return [record_run(replay_cell(spec, "BSCdypvt", 0)) for spec in specs]
+
+    def replay_pass():
+        for run in runs:
+            result = replay_trace(run.trace)
+            assert result.ok, result.describe()
+
+    def timed(fn):
+        start = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - start, result
+
+    plain_s = min(timed(plain_pass)[0] for __ in range(5))
+    record_s, runs = min((timed(record_pass) for __ in range(5)), key=lambda pair: pair[0])
+    replay_s = min(timed(replay_pass)[0] for __ in range(5))
+    record_overhead = record_s / plain_s
+    replay_overhead = replay_s / plain_s
+    assert record_overhead < 2.5, f"recording too expensive: {record_overhead:.2f}x"
+    assert replay_overhead < 3.5, f"replay too expensive: {replay_overhead:.2f}x"

@@ -162,3 +162,46 @@ class TestFaultyWire:
         )
         assert payload["certification"]["ok"], payload["certification"]
         assert payload["faults"]["spelling"] == "drop,dup"
+
+
+# ---------------------------------------------------------------------------
+class TestBenchContracts:
+    LEASE = 0.4
+
+    def bench(self, tmp_path, name, **overrides):
+        options = BenchOptions(
+            service_dir=str(tmp_path / name),
+            clients=3,
+            nodes=2,
+            standbys=1,
+            duration=4.0,
+            rate=15.0,
+            seed=7,
+            lease_timeout=self.LEASE,
+            **overrides,
+        )
+        return run(run_bench(options), timeout=180)
+
+    def test_throughput_and_failover(self, tmp_path):
+        """Two clean runs and one with the primary SIGKILLed mid-load.
+
+        The socket path sustains a usable commit rate and every run
+        certifies (SC + contracts + convergence + zero acked-write loss);
+        the standby takes over exactly once, and the commit stream's
+        largest stall stays within a small multiple of the lease.  A live
+        run is not deterministic, so the clean contract is held twice.
+        """
+        clean = self.bench(tmp_path, "clean")
+        failover = self.bench(tmp_path, "failover", kill_primary_at=1.5)
+        again = self.bench(tmp_path, "again")
+        # The throughput floor is conservative: 3 clients at 15 batch/s
+        # for 4 s is 180 offered; even a loaded machine lands a third.
+        for payload in (clean, failover, again):
+            assert payload["certification"]["ok"], payload["certification"]
+            assert payload["certification"]["lost_acks"] == []
+            assert payload["committed"] >= 60
+            assert payload["errors"] == 0
+        assert clean["failover"]["takeovers"] == 0
+        assert failover["failover"]["takeovers"] == 1
+        # Standby patience + poll + fence, not a drift toward the run length.
+        assert failover["failover"]["max_commit_stall_s"] < 8 * self.LEASE
